@@ -23,8 +23,15 @@ auto detection_key(const MinuteDetection& d) {
                          static_cast<int>(d.type), d.minute);
 }
 
-/// Finalizes an incident from its member minutes [first, last).
-AttackIncident finalize(std::span<const MinuteDetection> minutes) {
+}  // namespace
+
+bool splits_incident(const MinuteDetection& last, util::Minute next,
+                     const TimeoutTable& timeouts) noexcept {
+  // Gap counts the silent minutes strictly between the two detections.
+  return next - last.minute - 1 > timeouts.of(last.type);
+}
+
+AttackIncident finalize_incident(std::span<const MinuteDetection> minutes) {
   AttackIncident inc;
   const MinuteDetection& head = minutes.front();
   inc.vip = head.vip;
@@ -49,8 +56,6 @@ AttackIncident finalize(std::span<const MinuteDetection> minutes) {
   return inc;
 }
 
-}  // namespace
-
 std::vector<AttackIncident> build_incidents(std::vector<MinuteDetection> detections,
                                             const TimeoutTable& timeouts) {
   std::sort(detections.begin(), detections.end(),
@@ -69,12 +74,10 @@ std::vector<AttackIncident> build_incidents(std::vector<MinuteDetection> detecti
       const bool same_series = cur.vip == next.vip &&
                                cur.direction == next.direction &&
                                cur.type == next.type;
-      // Gap counts the silent minutes strictly between the two detections.
-      split = !same_series ||
-              (next.minute - cur.minute - 1) > timeouts.of(cur.type);
+      split = !same_series || splits_incident(cur, next.minute, timeouts);
     }
     if (split) {
-      incidents.push_back(finalize(
+      incidents.push_back(finalize_incident(
           std::span<const MinuteDetection>(detections).subspan(
               group_start, i + 1 - group_start)));
       group_start = i + 1;

@@ -18,7 +18,6 @@ namespace dm::detect {
 
 /// One detected attack on/from one VIP.
 struct AttackIncident {
-  // dmlint: checkpointed
   netflow::IPv4 vip;
   netflow::Direction direction = netflow::Direction::kInbound;
   sim::AttackType type = sim::AttackType::kSynFlood;
@@ -47,6 +46,7 @@ struct AttackIncident {
 
 /// One flagged minute, as produced by the detection pipeline.
 struct MinuteDetection {
+  // dmlint: checkpointed
   netflow::IPv4 vip;
   netflow::Direction direction = netflow::Direction::kInbound;
   sim::AttackType type = sim::AttackType::kSynFlood;
@@ -67,6 +67,19 @@ struct TimeoutTable {
     return timeout[sim::index_of(t)];
   }
 };
+
+/// The grouping rule: a detection at minute `next` of the same (VIP,
+/// direction, type) as `last` starts a new incident when the silent minutes
+/// strictly between them exceed the type's inactive timeout.
+[[nodiscard]] bool splits_incident(const MinuteDetection& last,
+                                   util::Minute next,
+                                   const TimeoutTable& timeouts) noexcept;
+
+/// Folds one incident's member detections — non-empty, one (VIP, direction,
+/// type), ascending minutes — into its AttackIncident. Ramp-up is the first
+/// member at or above 90% of the incident's peak.
+[[nodiscard]] AttackIncident finalize_incident(
+    std::span<const MinuteDetection> minutes);
 
 /// Groups minute detections into incidents. Input order is irrelevant; the
 /// builder sorts internally by (vip, direction, type, minute).

@@ -14,6 +14,7 @@ using netflow::Direction;
 using netflow::FlowRecord;
 using netflow::OrientedFlow;
 using netflow::Protocol;
+using netflow::TcpFlags;
 using netflow::VipMinuteStats;
 
 namespace {
@@ -22,7 +23,9 @@ namespace {
 // payload — the same shape as a trace block, so a damaged checkpoint fails
 // loudly instead of resuming from garbage.
 constexpr std::uint32_t kCheckpointMagic = 0x4b434d44;  // "DMCK" little-endian
-constexpr std::uint16_t kCheckpointVersion = 1;
+// Version 2 carries buffered records and incident members; version-1 frames
+// (pre-aggregated windows, running incident summaries) are not read.
+constexpr std::uint16_t kCheckpointVersion = 2;
 
 /// Upper bound on a plausible checkpoint payload. A malformed size varint
 /// must not become a multi-gigabyte allocation before the CRC ever gets a
@@ -64,19 +67,8 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   netflow::put_varint(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Serializes an unordered remote-IP set as (count, sorted elements):
-/// sorting makes checkpoint bytes a pure function of monitor state.
-void put_ip_set(std::vector<std::uint8_t>& out,
-                const std::unordered_set<std::uint32_t>& set) {
-  // dmlint: allow(unordered-iteration) drained into a sorted vector before any byte is written
-  std::vector<std::uint32_t> sorted(set.begin(), set.end());
-  std::sort(sorted.begin(), sorted.end());
-  put_u64(out, sorted.size());
-  for (const std::uint32_t ip : sorted) put_u64(out, ip);
-}
-
-/// Serializes a dedup hash set as (count, sorted elements), mirroring
-/// put_ip_set: checkpoint bytes stay a pure function of monitor state.
+/// Serializes a dedup hash set as (count, sorted elements): sorting makes
+/// checkpoint bytes a pure function of monitor state.
 void put_hash_set(std::vector<std::uint8_t>& out,
                   const std::unordered_set<std::uint64_t>& hashes) {
   // dmlint: allow(unordered-iteration) drained into a sorted vector before any byte is written
@@ -86,14 +78,11 @@ void put_hash_set(std::vector<std::uint8_t>& out,
   for (const std::uint64_t h : sorted) put_u64(out, h);
 }
 
-void get_ip_set(netflow::CheckedCursor& in,
-                std::unordered_set<std::uint32_t>& set) {
-  const std::uint64_t count = in.varint();
-  set.clear();
-  set.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    set.insert(static_cast<std::uint32_t>(in.varint()));
-  }
+/// The open-incident map key of a detection: (vip, type, direction).
+[[nodiscard]] std::tuple<std::uint32_t, int, int> incident_key(
+    const MinuteDetection& d) noexcept {
+  return {d.vip.value(), static_cast<int>(d.type),
+          static_cast<int>(d.direction)};
 }
 
 }  // namespace
@@ -129,8 +118,7 @@ void StreamMonitor::ingest(const FlowRecord& record) {
     ++records_duplicate_;
     return;
   }
-  const auto direction = netflow::classify(record, cloud_space_);
-  if (!direction) {
+  if (!netflow::classify(record, cloud_space_)) {
     ++records_unclassifiable_;
     return;
   }
@@ -141,74 +129,7 @@ void StreamMonitor::ingest(const FlowRecord& record) {
   max_seen_ = std::max(max_seen_, record.minute);
   commit_to(max_seen_ - stream_.reorder_lag);
 
-  const OrientedFlow flow{&record, *direction};
-  const SeriesKey key{flow.vip().value(), *direction};
-  OpenWindow& open = open_minutes_[record.minute][key];
-  VipMinuteStats& w = open.stats;
-  if (w.flows == 0) {
-    w.vip = flow.vip();
-    w.minute = record.minute;
-    w.direction = *direction;
-  }
-
-  w.packets += record.packets;
-  w.bytes += record.bytes;
-  w.flows += 1;
-  switch (record.protocol) {
-    case Protocol::kTcp:
-      w.tcp_packets += record.packets;
-      if (netflow::is_pure_syn(record.tcp_flags)) w.syn_packets += record.packets;
-      if (netflow::is_null_scan(record.tcp_flags)) {
-        w.null_scan_packets += record.packets;
-      }
-      if (netflow::is_xmas_scan(record.tcp_flags)) {
-        w.xmas_scan_packets += record.packets;
-      }
-      if (netflow::is_bare_rst(record.tcp_flags)) {
-        w.bare_rst_packets += record.packets;
-      }
-      break;
-    case Protocol::kUdp:
-      w.udp_packets += record.packets;
-      if (record.src_port == netflow::ports::kDns) {
-        w.dns_response_packets += record.packets;
-      }
-      break;
-    case Protocol::kIcmp:
-      w.icmp_packets += record.packets;
-      break;
-    case Protocol::kIpEncap:
-      w.ipencap_packets += record.packets;
-      break;
-  }
-
-  const std::uint32_t remote = flow.remote_ip().value();
-  if (open.remotes.insert(remote).second) w.unique_remote_ips += 1;
-
-  const std::uint16_t service_port = flow.service_port();
-  if (record.protocol == Protocol::kTcp &&
-      service_port == netflow::ports::kSmtp) {
-    w.smtp_flows += 1;
-    w.smtp_packets += record.packets;
-    if (open.smtp_remotes.insert(remote).second) w.unique_smtp_remotes += 1;
-  }
-  if (record.protocol == Protocol::kTcp &&
-      netflow::ports::is_remote_admin(service_port)) {
-    w.remote_admin_flows += 1;
-    w.admin_packets += record.packets;
-    if (open.admin_remotes.insert(remote).second) w.unique_admin_remotes += 1;
-  }
-  if (record.protocol == Protocol::kTcp && netflow::ports::is_sql(service_port)) {
-    w.sql_flows += 1;
-    w.sql_packets += record.packets;
-  }
-  if (blacklist_ != nullptr && blacklist_->contains(flow.remote_ip())) {
-    w.blacklist_flows += 1;
-    w.blacklist_packets += record.packets;
-    if (open.blacklist_remotes.insert(remote).second) {
-      w.unique_blacklist_remotes += 1;
-    }
-  }
+  open_minutes_[record.minute].push_back(record);
 }
 
 void StreamMonitor::advance_to(util::Minute minute) {
@@ -231,13 +152,16 @@ void StreamMonitor::commit_to(util::Minute minute) {
 }
 
 void StreamMonitor::close_minute(util::Minute minute) {
-  const auto it = open_minutes_.find(minute);
-  if (it == open_minutes_.end()) return;
-  for (const auto& [key, open] : it->second) {
-    feed_window(key, open);
+  auto node = open_minutes_.extract(minute);
+  if (node.empty()) return;
+  // One minute's records aggregate into windows sorted by (vip, direction)
+  // — SeriesKey order — exactly as the batch window builder emits them.
+  const netflow::ShardWindows closed =
+      netflow::aggregate_shard(std::move(node.mapped()), cloud_space_, blacklist_);
+  for (const VipMinuteStats& window : closed.windows) {
+    feed_window(window);
     ++windows_closed_;
   }
-  open_minutes_.erase(it);
 }
 
 void StreamMonitor::note_outage(util::Minute from, util::Minute to) {
@@ -267,8 +191,10 @@ std::size_t StreamMonitor::outage_overlap(util::Minute from,
   return total;
 }
 
-void StreamMonitor::feed_window(const SeriesKey& key, const OpenWindow& open) {
-  auto [det_it, inserted] = detectors_.try_emplace(key, config_);
+void StreamMonitor::feed_window(const VipMinuteStats& window) {
+  auto [det_it, inserted] =
+      detectors_.try_emplace(SeriesKey{window.vip.value(), window.direction},
+                             config_);
   SeriesState& series = det_it->second;
   // Minutes of the series' silent gap that fall inside a declared outage
   // carry no information: the change-point baselines must not absorb them
@@ -277,15 +203,13 @@ void StreamMonitor::feed_window(const SeriesKey& key, const OpenWindow& open) {
   const util::Minute reference =
       series.last_minute < 0 ? 0 : series.last_minute + 1;
   const std::size_t excluded =
-      open.stats.minute > reference
-          ? outage_overlap(reference, open.stats.minute)
-          : 0;
-  series.last_minute = open.stats.minute;
-  const auto verdicts = series.detector.observe(open.stats, excluded);
+      window.minute > reference ? outage_overlap(reference, window.minute) : 0;
+  series.last_minute = window.minute;
+  const auto verdicts = series.detector.observe(window, excluded);
   for (std::size_t t = 0; t < sim::kAttackTypeCount; ++t) {
     if (!verdicts[t].attack) continue;
-    MinuteDetection detection{open.stats.vip, key.direction,
-                              sim::kAllAttackTypes[t], open.stats.minute,
+    MinuteDetection detection{window.vip, window.direction,
+                              sim::kAllAttackTypes[t], window.minute,
                               verdicts[t].sampled_packets,
                               verdicts[t].unique_remotes};
     ++alerts_;
@@ -294,47 +218,27 @@ void StreamMonitor::feed_window(const SeriesKey& key, const OpenWindow& open) {
   }
 }
 
-void StreamMonitor::feed_detection(const MinuteDetection& d) {
-  const std::tuple<std::uint32_t, int, int> key{
-      d.vip.value(), static_cast<int>(d.type), static_cast<int>(d.direction)};
-  OpenIncident& open = open_incidents_[key];
-  AttackIncident& inc = open.incident;
-  const util::Minute timeout = timeouts_.of(d.type);
+void StreamMonitor::emit_incident(std::vector<MinuteDetection>& members) {
+  ++incidents_;
+  if (on_incident_) on_incident_(finalize_incident(members));
+  members.clear();
+}
 
-  if (open.active && d.minute - (inc.end - 1) - 1 > timeout) {
-    // Gap exceeded: the previous incident is complete.
-    ++incidents_;
-    if (on_incident_) on_incident_(inc);
-    open.active = false;
+void StreamMonitor::feed_detection(const MinuteDetection& d) {
+  std::vector<MinuteDetection>& members = open_incidents_[incident_key(d)];
+  if (!members.empty() && splits_incident(members.back(), d.minute, timeouts_)) {
+    emit_incident(members);  // gap exceeded: the previous incident is complete
   }
-  if (!open.active) {
-    inc = AttackIncident{};
-    inc.vip = d.vip;
-    inc.direction = d.direction;
-    inc.type = d.type;
-    inc.start = d.minute;
-    open.active = true;
-  }
-  inc.end = d.minute + 1;
-  inc.active_minutes += 1;
-  inc.total_sampled_packets += d.sampled_packets;
-  if (d.sampled_packets > inc.peak_sampled_ppm) {
-    inc.peak_sampled_ppm = d.sampled_packets;
-    // Streaming ramp-up: the first minute that set the running peak is the
-    // best online estimate; refined whenever the peak grows.
-    inc.ramp_up_minutes = d.minute - inc.start;
-  }
-  inc.peak_unique_remotes = std::max(inc.peak_unique_remotes, d.unique_remotes);
+  members.push_back(d);
 }
 
 void StreamMonitor::expire_incidents(util::Minute now) {
-  for (auto& [key, open] : open_incidents_) {
-    if (!open.active) continue;
-    const util::Minute timeout = timeouts_.of(open.incident.type);
-    if (now - (open.incident.end - 1) - 1 > timeout) {
-      ++incidents_;
-      if (on_incident_) on_incident_(open.incident);
-      open.active = false;
+  for (auto it = open_incidents_.begin(); it != open_incidents_.end();) {
+    if (splits_incident(it->second.back(), now, timeouts_)) {
+      emit_incident(it->second);
+      it = open_incidents_.erase(it);
+    } else {
+      ++it;
     }
   }
 }
@@ -346,41 +250,45 @@ void StreamMonitor::finish() {
     watermark_ = std::max(watermark_, minute);
   }
   seen_.clear();
-  for (auto& [key, open] : open_incidents_) {
-    if (!open.active) continue;
-    ++incidents_;
-    if (on_incident_) on_incident_(open.incident);
-    open.active = false;
-  }
+  for (auto& [key, members] : open_incidents_) emit_incident(members);
+  open_incidents_.clear();
 }
 
 std::size_t StreamMonitor::open_window_count() const noexcept {
   std::size_t total = 0;
-  for (const auto& [minute, series_map] : open_minutes_) {
-    total += series_map.size();
+  std::vector<SeriesKey> series;
+  for (const auto& [minute, records] : open_minutes_) {
+    series.clear();
+    for (const FlowRecord& r : records) {
+      // Buffered records classified on ingest (and restore checks it).
+      const Direction direction = *netflow::classify(r, cloud_space_);
+      series.push_back({OrientedFlow{&r, direction}.vip().value(), direction});
+    }
+    std::sort(series.begin(), series.end());
+    total += static_cast<std::size_t>(
+        std::unique(series.begin(), series.end()) - series.begin());
   }
   return total;
 }
 
 std::uint64_t StreamMonitor::approx_state_bytes() const noexcept {
-  // Entry sizes plus set payloads: a stable gauge of the state the
-  // checkpoint would serialize, cheap enough to walk once per accounting
-  // minute. Deliberately ignores allocator overhead and hash-table load
-  // factors so the number is identical across runs and platforms.
+  // Entry sizes times counts plus a fixed per-node estimate: a stable gauge
+  // of the state the checkpoint would serialize, cheap enough to walk once
+  // per accounting interval. Deliberately ignores allocator overhead and
+  // hash-table load factors so the number is identical across runs and
+  // platforms.
+  constexpr std::uint64_t kNode = 48;  // map node overhead estimate
   std::uint64_t bytes = 0;
-  for (const auto& [minute, series_map] : open_minutes_) {
-    bytes += sizeof(minute) + 48;  // map node overhead estimate
-    for (const auto& [key, open] : series_map) {
-      bytes += sizeof(key) + sizeof(OpenWindow);
-      bytes += 4 * (open.remotes.size() + open.admin_remotes.size() +
-                    open.smtp_remotes.size() + open.blacklist_remotes.size());
-    }
+  for (const auto& [minute, records] : open_minutes_) {
+    bytes += sizeof(minute) + kNode + records.size() * sizeof(FlowRecord);
   }
-  bytes += detectors_.size() * (sizeof(SeriesKey) + sizeof(SeriesState) + 48);
-  bytes += open_incidents_.size() * (sizeof(OpenIncident) + 72);
+  bytes += detectors_.size() * (sizeof(SeriesKey) + sizeof(SeriesState) + kNode);
+  for (const auto& [key, members] : open_incidents_) {
+    bytes += sizeof(key) + kNode + members.size() * sizeof(MinuteDetection);
+  }
   bytes += outages_.size() * sizeof(outages_[0]);
   for (const auto& [minute, hashes] : seen_) {
-    bytes += sizeof(minute) + 48 + 8 * hashes.size();
+    bytes += sizeof(minute) + kNode + 8 * hashes.size();
   }
   return bytes;
 }
@@ -407,53 +315,25 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
     put_i64(payload, to);
   }
 
-  // Open windows. std::map iteration gives deterministic order.
-  put_u64(payload, open_minutes_.size());
-  for (const auto& [minute, series_map] : open_minutes_) {
-    put_i64(payload, minute);
-    put_u64(payload, series_map.size());
-    for (const auto& [key, open] : series_map) {
-      put_u64(payload, key.vip);
-      put_u64(payload, static_cast<std::uint64_t>(key.direction));
-      // dmlint: covers(open, OpenWindow)
-      // dmlint: covers(w, VipMinuteStats)
-      const VipMinuteStats& w = open.stats;
-      put_u64(payload, w.vip.value());
-      put_i64(payload, w.minute);
-      put_u64(payload, static_cast<std::uint64_t>(w.direction));
-      put_u64(payload, w.packets);
-      put_u64(payload, w.bytes);
-      put_u64(payload, w.tcp_packets);
-      put_u64(payload, w.udp_packets);
-      put_u64(payload, w.icmp_packets);
-      put_u64(payload, w.ipencap_packets);
-      put_u64(payload, w.syn_packets);
-      put_u64(payload, w.null_scan_packets);
-      put_u64(payload, w.xmas_scan_packets);
-      put_u64(payload, w.bare_rst_packets);
-      put_u64(payload, w.dns_response_packets);
-      put_u64(payload, w.flows);
-      put_u64(payload, w.unique_remote_ips);
-      put_u64(payload, w.smtp_flows);
-      put_u64(payload, w.unique_smtp_remotes);
-      put_u64(payload, w.remote_admin_flows);
-      put_u64(payload, w.unique_admin_remotes);
-      put_u64(payload, w.sql_flows);
-      put_u64(payload, w.smtp_packets);
-      put_u64(payload, w.admin_packets);
-      put_u64(payload, w.sql_packets);
-      put_u64(payload, w.blacklist_flows);
-      put_u64(payload, w.unique_blacklist_remotes);
-      put_u64(payload, w.blacklist_packets);
-      put_u64(payload, w.first_record);
-      put_u64(payload, w.last_record);
-      // dmlint: covers-end(w)
-      put_ip_set(payload, open.remotes);
-      put_ip_set(payload, open.admin_remotes);
-      put_ip_set(payload, open.smtp_remotes);
-      put_ip_set(payload, open.blacklist_remotes);
-      // dmlint: covers-end(open)
+  // Buffered records, minute-major in arrival order (std::map iteration
+  // gives deterministic order); restore regroups them by record minute.
+  std::size_t buffered = 0;
+  for (const auto& [minute, records] : open_minutes_) buffered += records.size();
+  put_u64(payload, buffered);
+  for (const auto& [minute, records] : open_minutes_) {
+    // dmlint: covers(r, FlowRecord)
+    for (const FlowRecord& r : records) {
+      put_i64(payload, r.minute);
+      put_u64(payload, r.src_ip.value());
+      put_u64(payload, r.dst_ip.value());
+      put_u64(payload, r.src_port);
+      put_u64(payload, r.dst_port);
+      put_u64(payload, static_cast<std::uint64_t>(r.protocol));
+      put_u64(payload, static_cast<std::uint64_t>(r.tcp_flags));
+      put_u64(payload, r.packets);
+      put_u64(payload, r.bytes);
     }
+    // dmlint: covers-end(r)
   }
 
   // Detector baselines.
@@ -474,28 +354,22 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
     // dmlint: covers-end(s)
   }
 
-  // Incidents (including inactive slots — their counters already fired).
-  put_u64(payload, open_incidents_.size());
-  for (const auto& [key, open] : open_incidents_) {
-    put_u64(payload, std::get<0>(key));
-    put_i64(payload, std::get<1>(key));
-    put_i64(payload, std::get<2>(key));
-    // dmlint: covers(open, OpenIncident)
-    // dmlint: covers(inc, AttackIncident)
-    put_u64(payload, open.active ? 1 : 0);
-    const AttackIncident& inc = open.incident;
-    put_u64(payload, inc.vip.value());
-    put_u64(payload, static_cast<std::uint64_t>(inc.direction));
-    put_i64(payload, static_cast<std::int64_t>(inc.type));
-    put_i64(payload, inc.start);
-    put_i64(payload, inc.end);
-    put_u64(payload, inc.active_minutes);
-    put_u64(payload, inc.total_sampled_packets);
-    put_u64(payload, inc.peak_sampled_ppm);
-    put_u64(payload, inc.peak_unique_remotes);
-    put_i64(payload, inc.ramp_up_minutes);
-    // dmlint: covers-end(inc)
-    // dmlint: covers-end(open)
+  // Member detections of the open incidents, key-major in minute order;
+  // restore regroups them by their (vip, type, direction).
+  std::size_t members = 0;
+  for (const auto& [key, group] : open_incidents_) members += group.size();
+  put_u64(payload, members);
+  for (const auto& [key, group] : open_incidents_) {
+    // dmlint: covers(d, MinuteDetection)
+    for (const MinuteDetection& d : group) {
+      put_u64(payload, d.vip.value());
+      put_u64(payload, static_cast<std::uint64_t>(d.direction));
+      put_u64(payload, static_cast<std::uint64_t>(d.type));
+      put_i64(payload, d.minute);
+      put_u64(payload, d.sampled_packets);
+      put_u64(payload, d.unique_remotes);
+    }
+    // dmlint: covers-end(d)
   }
 
   // Dedup hashes of still-open minutes, sorted for determinism.
@@ -596,9 +470,8 @@ void StreamMonitor::restore(std::istream& in) {
   const auto get_i64 = [&cur] { return netflow::unzigzag64(cur.varint()); };
   const auto get_f64 = [&cur] { return std::bit_cast<double>(cur.varint()); };
 
-  // Decode into fresh state so a failure mid-payload (impossible after the
-  // CRC check short of a version-1 encoder bug, but cheap to guard) leaves
-  // the monitor untouched.
+  // Decode into fresh state so a failure mid-payload leaves the monitor
+  // untouched.
   decltype(open_minutes_) open_minutes;
   decltype(detectors_) detectors;
   decltype(open_incidents_) open_incidents;
@@ -616,9 +489,10 @@ void StreamMonitor::restore(std::istream& in) {
   std::uint64_t alerts = 0;
   std::uint64_t incidents = 0;
 
-  // A CRC-valid payload that still fails to decode (a version-1 encoder bug,
-  // or a 2^-32 CRC collision over damaged bytes) surfaces as a structured
-  // kMalformedPayload, and the monitor stays untouched.
+  // A CRC-valid payload that still fails to decode (an encoder bug, a
+  // 2^-32 CRC collision over damaged bytes, or a checkpoint taken under a
+  // different cloud space) surfaces as a structured kMalformedPayload, and
+  // the monitor stays untouched.
   try {
   watermark = get_i64();
   max_seen = get_i64();
@@ -639,56 +513,26 @@ void StreamMonitor::restore(std::istream& in) {
     outages.emplace_back(from, to);
   }
 
-  const std::uint64_t minute_count = get_u64();
-  for (std::uint64_t m = 0; m < minute_count; ++m) {
-    const util::Minute minute = get_i64();
-    auto& series_map = open_minutes[minute];
-    const std::uint64_t series_count = get_u64();
-    for (std::uint64_t s = 0; s < series_count; ++s) {
-      SeriesKey key;
-      key.vip = static_cast<std::uint32_t>(get_u64());
-      key.direction = static_cast<Direction>(get_u64());
-      // dmlint: covers(open, OpenWindow)
-      // dmlint: covers(w, VipMinuteStats)
-      OpenWindow& open = series_map[key];
-      VipMinuteStats& w = open.stats;
-      w.vip = netflow::IPv4(static_cast<std::uint32_t>(get_u64()));
-      w.minute = get_i64();
-      w.direction = static_cast<Direction>(get_u64());
-      w.packets = get_u64();
-      w.bytes = get_u64();
-      w.tcp_packets = get_u64();
-      w.udp_packets = get_u64();
-      w.icmp_packets = get_u64();
-      w.ipencap_packets = get_u64();
-      w.syn_packets = get_u64();
-      w.null_scan_packets = get_u64();
-      w.xmas_scan_packets = get_u64();
-      w.bare_rst_packets = get_u64();
-      w.dns_response_packets = get_u64();
-      w.flows = static_cast<std::uint32_t>(get_u64());
-      w.unique_remote_ips = static_cast<std::uint32_t>(get_u64());
-      w.smtp_flows = static_cast<std::uint32_t>(get_u64());
-      w.unique_smtp_remotes = static_cast<std::uint32_t>(get_u64());
-      w.remote_admin_flows = static_cast<std::uint32_t>(get_u64());
-      w.unique_admin_remotes = static_cast<std::uint32_t>(get_u64());
-      w.sql_flows = static_cast<std::uint32_t>(get_u64());
-      w.smtp_packets = get_u64();
-      w.admin_packets = get_u64();
-      w.sql_packets = get_u64();
-      w.blacklist_flows = static_cast<std::uint32_t>(get_u64());
-      w.unique_blacklist_remotes = static_cast<std::uint32_t>(get_u64());
-      w.blacklist_packets = get_u64();
-      w.first_record = static_cast<std::uint32_t>(get_u64());
-      w.last_record = static_cast<std::uint32_t>(get_u64());
-      // dmlint: covers-end(w)
-      get_ip_set(cur, open.remotes);
-      get_ip_set(cur, open.admin_remotes);
-      get_ip_set(cur, open.smtp_remotes);
-      get_ip_set(cur, open.blacklist_remotes);
-      // dmlint: covers-end(open)
+  const std::uint64_t buffered = get_u64();
+  // dmlint: covers(r, FlowRecord)
+  for (std::uint64_t i = 0; i < buffered; ++i) {
+    FlowRecord r;
+    r.minute = get_i64();
+    r.src_ip = netflow::IPv4(static_cast<std::uint32_t>(get_u64()));
+    r.dst_ip = netflow::IPv4(static_cast<std::uint32_t>(get_u64()));
+    r.src_port = static_cast<std::uint16_t>(get_u64());
+    r.dst_port = static_cast<std::uint16_t>(get_u64());
+    r.protocol = static_cast<Protocol>(get_u64());
+    r.tcp_flags = static_cast<TcpFlags>(get_u64());
+    r.packets = static_cast<std::uint32_t>(get_u64());
+    r.bytes = get_u64();
+    // Only records ingest() would have accepted can be buffered.
+    if (r.minute <= watermark || !netflow::classify(r, cloud_space_)) {
+      throw FormatError("checkpoint: buffered record outside the open horizon");
     }
+    open_minutes[r.minute].push_back(r);
   }
+  // dmlint: covers-end(r)
 
   const std::uint64_t detector_count = get_u64();
   for (std::uint64_t i = 0; i < detector_count; ++i) {
@@ -711,29 +555,23 @@ void StreamMonitor::restore(std::istream& in) {
     // dmlint: covers-end(series)
   }
 
-  const std::uint64_t incident_count = get_u64();
-  for (std::uint64_t i = 0; i < incident_count; ++i) {
-    const std::uint32_t vip = static_cast<std::uint32_t>(get_u64());
-    const int type = static_cast<int>(get_i64());
-    const int dir = static_cast<int>(get_i64());
-    // dmlint: covers(open, OpenIncident)
-    // dmlint: covers(inc, AttackIncident)
-    OpenIncident& open = open_incidents[{vip, type, dir}];
-    open.active = get_u64() != 0;
-    AttackIncident& inc = open.incident;
-    inc.vip = netflow::IPv4(static_cast<std::uint32_t>(get_u64()));
-    inc.direction = static_cast<Direction>(get_u64());
-    inc.type = static_cast<sim::AttackType>(get_i64());
-    inc.start = get_i64();
-    inc.end = get_i64();
-    inc.active_minutes = static_cast<std::uint32_t>(get_u64());
-    inc.total_sampled_packets = get_u64();
-    inc.peak_sampled_ppm = get_u64();
-    inc.peak_unique_remotes = static_cast<std::uint32_t>(get_u64());
-    inc.ramp_up_minutes = get_i64();
-    // dmlint: covers-end(inc)
-    // dmlint: covers-end(open)
+  const std::uint64_t member_count = get_u64();
+  // dmlint: covers(d, MinuteDetection)
+  for (std::uint64_t i = 0; i < member_count; ++i) {
+    MinuteDetection d;
+    d.vip = netflow::IPv4(static_cast<std::uint32_t>(get_u64()));
+    d.direction = static_cast<Direction>(get_u64());
+    const std::uint64_t type = get_u64();
+    if (type >= sim::kAttackTypeCount) {
+      throw FormatError("checkpoint: unknown attack type");
+    }
+    d.type = static_cast<sim::AttackType>(type);
+    d.minute = get_i64();
+    d.sampled_packets = get_u64();
+    d.unique_remotes = static_cast<std::uint32_t>(get_u64());
+    open_incidents[incident_key(d)].push_back(d);
   }
+  // dmlint: covers-end(d)
 
   const std::uint64_t seen_count = get_u64();
   for (std::uint64_t i = 0; i < seen_count; ++i) {

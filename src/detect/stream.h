@@ -3,9 +3,13 @@
 // The paper ran its methodology offline over stored NetFlow, noting that it
 // "signaled the attack based on the NetFlow data for these instances within
 // a minute" (§3.2) — i.e. the approach is deployable online. StreamMonitor
-// is that deployment shape: raw flow records are ingested as they arrive,
-// one-minute windows are closed as time advances, per-series detectors run
-// incrementally, and completed incidents are delivered through callbacks.
+// is that deployment shape over the batch engine's own core: accepted
+// records are buffered per open minute, a minute closes by handing its
+// buffer to netflow::aggregate_shard (the batch window builder), per-series
+// detectors run incrementally over the resulting windows, and each open
+// incident keeps its member detections so it is finalized by the same
+// split rule and finalize_incident that build_incidents uses. Completed
+// incidents are delivered through callbacks.
 //
 // Degraded-feed contract: records may arrive in any order within
 // StreamConfig::reorder_lag minutes of the newest minute seen — a window
@@ -23,6 +27,7 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -110,10 +115,10 @@ class StreamMonitor {
   /// Flushes all open windows and incidents.
   void finish();
 
-  /// Serializes the complete monitor state (open windows, detector
-  /// baselines, pending incidents, counters, outages, dedup sets) through
-  /// the varint/CRC framing. Deterministic: equal states produce equal
-  /// bytes.
+  /// Serializes the complete monitor state (buffered records of the open
+  /// minutes, detector baselines, member detections of the open incidents,
+  /// counters, outages, dedup sets) as a version-2 DMCK frame through the
+  /// varint/CRC framing. Deterministic: equal states produce equal bytes.
   void checkpoint(std::ostream& out) const;
 
   /// Restores state captured by checkpoint() into this monitor, replacing
@@ -124,7 +129,7 @@ class StreamMonitor {
   /// undecodable payloads included — and leaves the monitor's state exactly
   /// as it was before the call in every failure case: the frame is read and
   /// CRC-validated in full, decoded into fresh state, and only then swapped
-  /// in.
+  /// in. Only version-2 frames are read; anything else is kBadVersion.
   void restore(std::istream& in);
 
   // Counters.
@@ -158,15 +163,19 @@ class StreamMonitor {
 
   // State-size gauges — what a supervisor's admission controller consults
   // when enforcing per-tenant memory budgets.
-  /// Open (minute, series) windows currently under accumulation.
+  /// Windows the open minutes would close into: the distinct (minute, VIP,
+  /// direction) triples among the buffered records. Computed on demand by
+  /// re-orienting the buffers, so it costs a pass over them.
   [[nodiscard]] std::size_t open_window_count() const noexcept;
   /// Per-series detector banks retained (grows with distinct VIPs seen).
   [[nodiscard]] std::size_t series_count() const noexcept {
     return detectors_.size();
   }
-  /// Rough resident footprint of the monitor state in bytes: container
-  /// entries times their element sizes plus the per-window remote-IP sets.
-  /// A budget gauge (stable across runs), not an allocator measurement.
+  /// Rough resident footprint of the monitor state in bytes: the buffered
+  /// records, detector banks, open-incident members, outages and dedup
+  /// hashes, each counted as entries times element size plus a fixed
+  /// per-node estimate. A budget gauge (stable across runs), not an
+  /// allocator measurement.
   [[nodiscard]] std::uint64_t approx_state_bytes() const noexcept;
 
  private:
@@ -177,23 +186,7 @@ class StreamMonitor {
       if (a.vip != b.vip) return a.vip < b.vip;
       return static_cast<int>(a.direction) < static_cast<int>(b.direction);
     }
-  };
-
-  /// An open one-minute window under accumulation.
-  struct OpenWindow {
-    // dmlint: checkpointed
-    netflow::VipMinuteStats stats;
-    std::unordered_set<std::uint32_t> remotes;
-    std::unordered_set<std::uint32_t> admin_remotes;
-    std::unordered_set<std::uint32_t> smtp_remotes;
-    std::unordered_set<std::uint32_t> blacklist_remotes;
-  };
-
-  /// An incident accumulating detected minutes.
-  struct OpenIncident {
-    // dmlint: checkpointed
-    AttackIncident incident;
-    bool active = false;
+    friend bool operator==(const SeriesKey&, const SeriesKey&) = default;
   };
 
   /// A per-series detector bank plus the last minute it observed — needed
@@ -208,8 +201,9 @@ class StreamMonitor {
 
   void commit_to(util::Minute minute);
   void close_minute(util::Minute minute);
-  void feed_window(const SeriesKey& key, const OpenWindow& window);
+  void feed_window(const netflow::VipMinuteStats& window);
   void feed_detection(const MinuteDetection& detection);
+  void emit_incident(std::vector<MinuteDetection>& members);
   void expire_incidents(util::Minute now);
   [[nodiscard]] std::size_t outage_overlap(util::Minute from,
                                            util::Minute to) const noexcept;
@@ -222,10 +216,13 @@ class StreamMonitor {
   IncidentCallback on_incident_;
   StreamConfig stream_;
 
-  // minute -> series -> open window; minutes close in order.
-  std::map<util::Minute, std::map<SeriesKey, OpenWindow>> open_minutes_;
+  // minute -> accepted records in arrival order; minutes close in order.
+  std::map<util::Minute, std::vector<netflow::FlowRecord>> open_minutes_;
   std::map<SeriesKey, SeriesState> detectors_;
-  std::map<std::tuple<std::uint32_t, int, int>, OpenIncident> open_incidents_;
+  /// (vip, type, direction) -> member detections (ascending minutes) of
+  /// that key's open incident; a key is erased once its incident is emitted.
+  std::map<std::tuple<std::uint32_t, int, int>, std::vector<MinuteDetection>>
+      open_incidents_;
   util::Minute watermark_ = -1;  ///< all minutes <= watermark are closed
   util::Minute max_seen_ = -1;   ///< newest minute ingested or advanced to
   /// Declared collector outages [from, to), sorted and non-overlapping.

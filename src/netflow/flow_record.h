@@ -30,6 +30,7 @@ enum class Direction : std::uint8_t { kInbound = 0, kOutbound = 1 };
 
 /// One sampled flow entry for one one-minute window.
 struct FlowRecord {
+  // dmlint: checkpointed
   util::Minute minute = 0;   ///< one-minute window index
   IPv4 src_ip;               ///< source address as seen on the wire
   IPv4 dst_ip;               ///< destination address

@@ -19,7 +19,6 @@ namespace dm::netflow {
 /// Aggregated features of one VIP's traffic in one direction during one
 /// one-minute window. All counts are of *sampled* traffic.
 struct VipMinuteStats {
-  // dmlint: checkpointed
   IPv4 vip;
   util::Minute minute = 0;
   Direction direction = Direction::kInbound;

@@ -156,6 +156,73 @@ TEST(StreamCheckpoint, ResumedRunMatchesUninterruptedOnDegradedFeed) {
   EXPECT_GT(resumed.records_duplicate(), 0u);
 }
 
+TEST(StreamCheckpoint, ResumesFromBufferedMinuteInsideOpenIncident) {
+  // A SYN flood on one VIP over minutes 100..104 whose rate ramps
+  // 200 -> 950 -> 1000 sampled packets/min. The checkpoint lands halfway
+  // through minute 103: minutes 100..102 are closed into one open
+  // incident's member detections and minute 103's records sit in the
+  // minute buffer. The resumed monitor must finish that incident exactly as
+  // an uninterrupted one does — including the 90%-of-peak ramp-up, which
+  // needs the pre-checkpoint members.
+  const netflow::IPv4 vip = netflow::IPv4::from_octets(100, 64, 0, 7);
+  std::vector<FlowRecord> feed;
+  for (util::Minute m = 100; m < 105; ++m) {
+    const std::uint32_t packets = m == 100 ? 4 : m == 101 ? 19 : 20;
+    for (std::uint32_t s = 0; s < 50; ++s) {
+      FlowRecord r;
+      r.minute = m;
+      r.src_ip = netflow::IPv4(0x04000000u + s);
+      r.dst_ip = vip;
+      r.src_port = static_cast<std::uint16_t>(20'000 + s);
+      r.dst_port = 80;
+      r.protocol = netflow::Protocol::kTcp;
+      r.tcp_flags = netflow::TcpFlags::kSyn;
+      r.packets = packets;
+      r.bytes = 40ull * packets;
+      feed.push_back(r);
+    }
+  }
+  const std::size_t cut = 3 * 50 + 25;
+
+  std::vector<MinuteDetection> ref_alerts;
+  std::vector<AttackIncident> ref_incidents;
+  StreamMonitor reference(
+      sim_cloud_space(), nullptr, DetectionConfig{}, TimeoutTable::paper(),
+      [&](const MinuteDetection& d) { ref_alerts.push_back(d); },
+      [&](const AttackIncident& inc) { ref_incidents.push_back(inc); });
+  for (const auto& r : feed) reference.ingest(r);
+
+  std::vector<AttackIncident> split_incidents;
+  StreamMonitor before = make_monitor(&split_incidents);
+  for (std::size_t i = 0; i < cut; ++i) before.ingest(feed[i]);
+  ASSERT_EQ(before.alerts(), 3u) << "minutes 100..102 must be flagged";
+  ASSERT_EQ(before.incidents(), 0u) << "the incident must still be open";
+  ASSERT_EQ(before.open_window_count(), 1u) << "minute 103 must be buffered";
+  std::istringstream saved(checkpoint_bytes(before));
+
+  StreamMonitor resumed = make_monitor(&split_incidents);
+  resumed.restore(saved);
+  EXPECT_EQ(resumed.open_window_count(), 1u);
+  EXPECT_EQ(resumed.approx_state_bytes(), before.approx_state_bytes());
+  for (std::size_t i = cut; i < feed.size(); ++i) resumed.ingest(feed[i]);
+  EXPECT_EQ(checkpoint_bytes(resumed), checkpoint_bytes(reference));
+  EXPECT_EQ(resumed.windows_closed(), reference.windows_closed());
+  EXPECT_EQ(resumed.alerts(), reference.alerts());
+
+  reference.finish();
+  resumed.finish();
+  ASSERT_EQ(ref_alerts.size(), 5u);
+  ASSERT_EQ(ref_incidents.size(), 1u);
+  ASSERT_EQ(split_incidents.size(), 1u);
+  EXPECT_EQ(key_of(split_incidents[0]), key_of(ref_incidents[0]));
+  EXPECT_EQ(split_incidents[0].start, 100);
+  EXPECT_EQ(split_incidents[0].end, 105);
+  EXPECT_EQ(split_incidents[0].active_minutes, 5u);
+  EXPECT_EQ(split_incidents[0].peak_sampled_ppm, 1000u);
+  // 950 >= 90% of the 1000 peak: ramp-up ends at minute 101.
+  EXPECT_EQ(split_incidents[0].ramp_up_minutes, 1);
+}
+
 TEST(StreamCheckpoint, RestoreRejectsDamagedCheckpoints) {
   std::vector<AttackIncident> incidents;
   StreamMonitor monitor = make_monitor(&incidents);

@@ -56,7 +56,7 @@ std::vector<std::uint8_t> frame_payload(const std::string& frame) {
 /// CRC — the "CRC-clean but semantically wrong" construction kit.
 std::string reframe(std::vector<std::uint8_t> payload) {
   std::string out;
-  const char magic[6] = {'D', 'M', 'C', 'K', 1, 0};
+  const char magic[6] = {'D', 'M', 'C', 'K', 2, 0};  // DMCK version 2
   out.append(magic, 6);
   std::uint64_t size = payload.size();
   for (;;) {
@@ -141,9 +141,14 @@ TEST_F(StreamRestoreError, BadMagic) {
 }
 
 TEST_F(StreamRestoreError, BadVersion) {
-  std::string mangled = valid_;
-  mangled[4] = 9;
-  expect_rejected(mangled, CheckpointError::Kind::kBadVersion, "version");
+  // Version 1 (pre-aggregated windows) is as unreadable as a future one:
+  // there is no migration path.
+  for (const char version : {1, 9}) {
+    std::string mangled = valid_;
+    mangled[4] = version;
+    expect_rejected(mangled, CheckpointError::Kind::kBadVersion,
+                    ("version " + std::to_string(version)).c_str());
+  }
 }
 
 TEST_F(StreamRestoreError, OversizedPayloadClaim) {
@@ -169,6 +174,21 @@ TEST_F(StreamRestoreError, CrcValidButUndecodable) {
   payload.pop_back();
   expect_rejected(reframe(std::move(payload)),
                   CheckpointError::Kind::kMalformedPayload, "undecodable");
+
+  // A pristine checkpoint whose buffered record is not a cloud flow under
+  // the target's address space could never have been buffered by it.
+  netflow::PrefixSet other_space;
+  other_space.add(netflow::Prefix(netflow::IPv4::from_octets(10, 0, 0, 0), 8));
+  StreamMonitor foreign(other_space);
+  FlowRecord r;
+  r.minute = 2;
+  r.src_ip = netflow::IPv4::from_octets(9, 9, 9, 9);
+  r.dst_ip = netflow::IPv4::from_octets(10, 1, 2, 3);
+  r.packets = 1;
+  foreign.ingest(r);
+  expect_rejected(checkpoint_bytes(foreign),
+                  CheckpointError::Kind::kMalformedPayload,
+                  "foreign cloud space");
 }
 
 TEST_F(StreamRestoreError, TrailingPayloadBytes) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "detect/pipeline.h"
+#include "fault/fault.h"
 #include "sim/trace_generator.h"
 
 namespace dm::detect {
@@ -106,58 +109,142 @@ TEST(StreamMonitor, UnclassifiableRecordsDropped) {
   EXPECT_EQ(monitor.records_dropped(), 1u);
 }
 
-TEST(StreamMonitor, MatchesBatchPipelineOnSimulatedTrace) {
-  // The gold property: on an in-order feed, the streaming monitor finds the
-  // same incidents as the offline pipeline.
-  auto config = sim::ScenarioConfig::smoke();
-  config.vips.vip_count = 100;
-  config.days = 1;
-  config.seed = 777;
-  const sim::Scenario scenario(config);
-  auto generated = sim::generate_trace(scenario);
+using IncidentRow =
+    std::tuple<std::uint32_t, int, int, util::Minute, util::Minute,
+               std::uint32_t, std::uint64_t, std::uint64_t, std::uint32_t,
+               util::Minute>;
 
-  // Batch result.
-  auto records_copy = generated.records;
-  const auto windowed = netflow::aggregate_windows(
-      std::move(records_copy), scenario.vips().cloud_space(),
-      &scenario.tds().as_prefix_set());
-  const auto batch = DetectionPipeline{}.run(windowed);
+/// Every AttackIncident field.
+IncidentRow incident_row(const AttackIncident& inc) {
+  return {inc.vip.value(),
+          static_cast<int>(inc.direction),
+          static_cast<int>(inc.type),
+          inc.start,
+          inc.end,
+          inc.active_minutes,
+          inc.total_sampled_packets,
+          inc.peak_sampled_ppm,
+          inc.peak_unique_remotes,
+          inc.ramp_up_minutes};
+}
 
-  // Streaming result over the time-ordered feed.
-  std::stable_sort(generated.records.begin(), generated.records.end(),
-                   [](const FlowRecord& a, const FlowRecord& b) {
-                     return a.minute < b.minute;
-                   });
-  std::vector<AttackIncident> streamed;
-  StreamMonitor monitor(scenario.vips().cloud_space(),
-                        &scenario.tds().as_prefix_set(), DetectionConfig{},
-                        TimeoutTable::paper(), nullptr,
-                        [&](const AttackIncident& inc) {
-                          streamed.push_back(inc);
-                        });
-  for (const auto& r : generated.records) monitor.ingest(r);
-  monitor.finish();
+/// Every MinuteDetection field, keyed in the monitor's emission order:
+/// minutes close in order, each minute's windows in (vip, direction) order,
+/// each window's verdicts in attack-type order.
+using AlertRow = std::tuple<util::Minute, std::uint32_t, int, int,
+                            std::uint64_t, std::uint32_t>;
 
-  ASSERT_EQ(streamed.size(), batch.incidents.size());
-  // Sort both the same way and compare the essential fields.
-  const auto key = [](const AttackIncident& inc) {
-    return std::make_tuple(inc.vip.value(), static_cast<int>(inc.direction),
-                           static_cast<int>(inc.type), inc.start);
-  };
-  auto batch_sorted = batch.incidents;
-  std::sort(batch_sorted.begin(), batch_sorted.end(),
-            [&](const auto& a, const auto& b) { return key(a) < key(b); });
-  std::sort(streamed.begin(), streamed.end(),
-            [&](const auto& a, const auto& b) { return key(a) < key(b); });
+AlertRow alert_row(const MinuteDetection& d) {
+  return {d.minute, d.vip.value(), static_cast<int>(d.direction),
+          static_cast<int>(d.type), d.sampled_packets, d.unique_remotes};
+}
+
+/// Fails once with the number of differing rows and the first difference,
+/// instead of once per row.
+template <typename Row>
+void expect_same_rows(const std::vector<Row>& streamed,
+                      const std::vector<Row>& batch, const char* what) {
+  ASSERT_EQ(streamed.size(), batch.size()) << what;
+  std::size_t differing = 0;
+  std::size_t first = streamed.size();
   for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(key(streamed[i]), key(batch_sorted[i]));
-    EXPECT_EQ(streamed[i].end, batch_sorted[i].end);
-    EXPECT_EQ(streamed[i].active_minutes, batch_sorted[i].active_minutes);
-    EXPECT_EQ(streamed[i].total_sampled_packets,
-              batch_sorted[i].total_sampled_packets);
-    EXPECT_EQ(streamed[i].peak_sampled_ppm, batch_sorted[i].peak_sampled_ppm);
+    if (streamed[i] == batch[i]) continue;
+    if (differing++ == 0) first = i;
   }
-  EXPECT_EQ(monitor.windows_closed(), windowed.windows().size());
+  EXPECT_EQ(differing, 0u) << differing << " of " << streamed.size() << " "
+                           << what << " differ; first at index " << first
+                           << ": " << ::testing::PrintToString(streamed[first])
+                           << " vs batch "
+                           << ::testing::PrintToString(batch[first]);
+}
+
+/// Runs `feed` through a monitor and holds its alert sequence, incidents and
+/// closed-window count to the batch result, field for field.
+void expect_stream_matches_batch(const sim::Scenario& scenario,
+                                 const std::vector<FlowRecord>& feed,
+                                 StreamConfig stream,
+                                 const DetectionResult& batch,
+                                 std::size_t batch_windows) {
+  std::vector<AlertRow> alerts;
+  std::vector<IncidentRow> incidents;
+  StreamMonitor monitor(
+      scenario.vips().cloud_space(), &scenario.tds().as_prefix_set(),
+      DetectionConfig{}, TimeoutTable::paper(),
+      [&](const MinuteDetection& d) { alerts.push_back(alert_row(d)); },
+      [&](const AttackIncident& inc) {
+        incidents.push_back(incident_row(inc));
+      },
+      stream);
+  for (const auto& r : feed) monitor.ingest(r);
+  monitor.finish();
+  EXPECT_EQ(monitor.records_late(), 0u);
+  EXPECT_EQ(monitor.windows_closed(), batch_windows);
+
+  std::vector<AlertRow> batch_alerts;
+  for (const auto& d : batch.minutes) batch_alerts.push_back(alert_row(d));
+  std::sort(batch_alerts.begin(), batch_alerts.end());
+  expect_same_rows(alerts, batch_alerts, "alerts");
+
+  std::vector<IncidentRow> batch_incidents;
+  for (const auto& inc : batch.incidents) {
+    batch_incidents.push_back(incident_row(inc));
+  }
+  std::sort(batch_incidents.begin(), batch_incidents.end());
+  std::sort(incidents.begin(), incidents.end());
+  expect_same_rows(incidents, batch_incidents, "incidents");
+}
+
+TEST(StreamMonitor, MatchesBatchPipelineOnSimulatedTrace) {
+  // The gold property: the streaming monitor reproduces the offline
+  // pipeline — the same alert sequence and the same incidents in every
+  // field, ramp-up included — on an in-order feed and on a shuffled feed
+  // whose disorder stays within the reorder lag.
+  for (const std::uint64_t seed : {777u, 778u, 779u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto config = sim::ScenarioConfig::smoke();
+    config.vips.vip_count = 100;
+    config.days = 1;
+    config.seed = seed;
+    const sim::Scenario scenario(config);
+    auto generated = sim::generate_trace(scenario);
+
+    auto records_copy = generated.records;
+    const auto windowed = netflow::aggregate_windows(
+        std::move(records_copy), scenario.vips().cloud_space(),
+        &scenario.tds().as_prefix_set());
+    const auto batch = DetectionPipeline{}.run(windowed);
+    ASSERT_FALSE(batch.incidents.empty());
+
+    std::stable_sort(generated.records.begin(), generated.records.end(),
+                     [](const FlowRecord& a, const FlowRecord& b) {
+                       return a.minute < b.minute;
+                     });
+    {
+      SCOPED_TRACE("in order");
+      expect_stream_matches_batch(scenario, generated.records, StreamConfig{},
+                                  batch, windowed.windows().size());
+    }
+
+    // Displacement-bounded shuffle: every record moves at most 32 positions,
+    // which on these feeds reaches back at most 3 minutes behind the newest.
+    fault::RecordPlan plan;
+    plan.reorder_window = 32;
+    const auto shuffled =
+        fault::FaultInjector(seed).degrade(generated.records, plan);
+    util::Minute max_lag = 0;
+    util::Minute newest = shuffled.front().minute;
+    for (const auto& r : shuffled) {
+      newest = std::max(newest, r.minute);
+      max_lag = std::max(max_lag, newest - r.minute);
+    }
+    ASSERT_GT(max_lag, 0) << "the shuffle must actually cross minutes";
+    ASSERT_LE(max_lag, 3);
+    StreamConfig lagged;
+    lagged.reorder_lag = 3;
+    SCOPED_TRACE("shuffled, reorder_lag 3");
+    expect_stream_matches_batch(scenario, shuffled, lagged, batch,
+                                windowed.windows().size());
+  }
 }
 
 TEST(StreamMonitor, SplitCountersPartitionDrops) {

@@ -102,23 +102,24 @@ TEST(SpillEquivalence, StudyIsByteIdenticalAcrossBudgetsAndThreads) {
 }
 
 TEST(SpillEquivalence, UnfusedPipelineSpillsIdenticallyToo) {
-  auto resident_config = base_config();
-  resident_config.thread_count = 2;
-  resident_config.fuse_pipeline = false;
-  const core::Study resident(resident_config);
-  const Exhibits resident_exhibits = exhibits_of(resident);
-
-  const fs::path dir = scratch_dir("unfused");
+  // The two-stage pipeline (generate_trace → aggregate_windows with a spill
+  // config → DetectionPipeline::run) must land on the resident Study.
   auto config = base_config();
   config.thread_count = 2;
-  config.fuse_pipeline = false;
-  config.spill.directory = dir.string();
-  config.spill.segment_bytes = 1ull << 20;
-  config.spill.ram_budget_bytes = 2ull << 20;
-  const core::Study spilled(config);
-  EXPECT_TRUE(spilled.trace().store().spilled());
+  const core::Study resident(config);
+  ASSERT_FALSE(resident.trace().store().spilled());
 
-  expect_same_study(resident, resident_exhibits, spilled);
+  const fs::path dir = scratch_dir("unfused");
+  netflow::SpillConfig spill;
+  spill.directory = dir.string();
+  spill.segment_bytes = 1ull << 20;
+  spill.ram_budget_bytes = 2ull << 20;
+  exec::ThreadPool pool(exec::workers_for(2));
+  const test_support::TwoStageOracle spilled =
+      test_support::two_stage_oracle(resident.scenario(), &pool, &spill);
+  EXPECT_TRUE(spilled.trace.store().spilled());
+
+  test_support::expect_matches_oracle(spilled, resident);
   fs::remove_all(dir);
 }
 

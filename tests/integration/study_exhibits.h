@@ -3,6 +3,8 @@
 // and tuple-wise window/incident comparison. Two studies are "the same"
 // exactly when expect_same_study passes — this is the bar both the
 // columnar-equivalence and spill-equivalence suites hold the pipeline to.
+// A Study is held to the two-stage oracle (generate_trace →
+// aggregate_windows → DetectionPipeline::run) by expect_matches_oracle.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +19,9 @@
 #include "analysis/signature.h"
 #include "analysis/spoof_analysis.h"
 #include "core/study.h"
+#include "detect/pipeline.h"
+#include "netflow/window_aggregator.h"
+#include "sim/trace_generator.h"
 
 namespace dm::test_support {
 
@@ -146,6 +151,84 @@ inline void expect_same_study(const core::Study& base,
   EXPECT_EQ(base_exhibits.services, other_exhibits.services);
   EXPECT_EQ(base_exhibits.signatures, other_exhibits.signatures);
   EXPECT_EQ(base_exhibits.spoofing, other_exhibits.spoofing);
+}
+
+/// Byte-identity of two windowed traces: every decoded record and its
+/// direction, the unclassified count, every window, and the VIP list.
+inline void expect_same_trace(const netflow::WindowedTrace& expected,
+                              const netflow::WindowedTrace& actual) {
+  const auto expected_records = expected.records();
+  const auto actual_records = actual.records();
+  ASSERT_EQ(expected_records.size(), actual_records.size());
+  auto actual_it = actual_records.begin();
+  for (auto it = expected_records.begin(); it != expected_records.end();
+       ++it, ++actual_it) {
+    ASSERT_EQ(*it, *actual_it) << "record " << it.index();
+    ASSERT_EQ(it.direction(), actual_it.direction())
+        << "direction " << it.index();
+  }
+  EXPECT_EQ(expected.unclassified_records(), actual.unclassified_records());
+
+  const auto expected_windows = expected.windows();
+  const auto actual_windows = actual.windows();
+  ASSERT_EQ(expected_windows.size(), actual_windows.size());
+  for (std::size_t i = 0; i < expected_windows.size(); ++i) {
+    ASSERT_EQ(window_tuple(expected_windows[i]), window_tuple(actual_windows[i]))
+        << "window " << i;
+  }
+
+  const auto expected_vips = expected.vips();
+  const auto actual_vips = actual.vips();
+  ASSERT_EQ(expected_vips.size(), actual_vips.size());
+  for (std::size_t i = 0; i < expected_vips.size(); ++i) {
+    EXPECT_EQ(expected_vips[i], actual_vips[i]) << "vip " << i;
+  }
+}
+
+/// What a Study must reproduce: the two-stage pipeline generate_trace →
+/// aggregate_windows (spilled when `spill` is enabled) →
+/// DetectionPipeline::run over the same scenario.
+struct TwoStageOracle {
+  std::uint64_t record_count = 0;
+  netflow::WindowedTrace trace;
+  detect::DetectionResult detection;
+};
+
+inline TwoStageOracle two_stage_oracle(
+    const sim::Scenario& scenario, exec::ThreadPool* pool,
+    const netflow::SpillConfig* spill = nullptr) {
+  sim::TraceResult generated = sim::generate_trace(scenario, pool);
+  TwoStageOracle oracle;
+  oracle.record_count = generated.records.size();
+  oracle.trace = netflow::aggregate_windows(
+      std::move(generated.records), scenario.vips().cloud_space(),
+      &scenario.tds().as_prefix_set(), pool, spill);
+  oracle.detection = detect::DetectionPipeline{}.run(oracle.trace, pool);
+  return oracle;
+}
+
+inline auto detection_tuple(const detect::MinuteDetection& d) {
+  return std::make_tuple(d.vip.value(), d.direction, d.type, d.minute,
+                         d.sampled_packets, d.unique_remotes);
+}
+
+inline void expect_matches_oracle(const TwoStageOracle& oracle,
+                                  const core::Study& study) {
+  EXPECT_EQ(study.record_count(), oracle.record_count);
+  expect_same_trace(oracle.trace, study.trace());
+
+  const auto& om = oracle.detection.minutes;
+  const auto& sm = study.detection().minutes;
+  ASSERT_EQ(om.size(), sm.size());
+  for (std::size_t i = 0; i < om.size(); ++i) {
+    ASSERT_EQ(detection_tuple(om[i]), detection_tuple(sm[i])) << "minute " << i;
+  }
+  const auto& oi = oracle.detection.incidents;
+  const auto& si = study.detection().incidents;
+  ASSERT_EQ(oi.size(), si.size());
+  for (std::size_t i = 0; i < oi.size(); ++i) {
+    ASSERT_EQ(incident_tuple(oi[i]), incident_tuple(si[i])) << "incident " << i;
+  }
 }
 
 }  // namespace dm::test_support

@@ -249,7 +249,7 @@ TEST(LintSelfScan, DeletingASerializedFieldFailsFieldCoverage) {
     return f.path == "src/detect/stream.cpp";
   });
   ASSERT_NE(it, files.end());
-  const std::string needle = "put_u64(payload, w.flows);";
+  const std::string needle = "put_u64(payload, r.packets);";
   const std::size_t pos = it->text.find(needle);
   ASSERT_NE(pos, std::string::npos);
   it->text.replace(pos, needle.size(), "");
@@ -258,7 +258,7 @@ TEST(LintSelfScan, DeletingASerializedFieldFailsFieldCoverage) {
       report.findings.begin(), report.findings.end(), [](const Finding& f) {
         return f.rule == kRuleCheckpointCoverage &&
                f.file == "src/detect/stream.cpp" &&
-               f.message.find("flows") != std::string::npos;
+               f.message.find("packets") != std::string::npos;
       });
   EXPECT_NE(hit, report.findings.end())
       << "removing a serialized field must fail the coverage rule";

@@ -95,6 +95,8 @@ TEST(RotationCoverage, EveryServePersistedStructIsNamedByRotationTests) {
   const std::vector<std::string> declaration_sources = {
       "src/serve/supervisor.h",
       "src/detect/stream.h",
+      "src/detect/incident.h",
+      "src/netflow/flow_record.h",
   };
   // The tests that drive the crash matrix / checkpoint byte-identity oracle.
   const std::vector<std::string> rotation_tests = {
@@ -119,7 +121,8 @@ TEST(RotationCoverage, EveryServePersistedStructIsNamedByRotationTests) {
   ASSERT_GE(persisted.size(), 8u)
       << "the serve fleet's covers regions went missing";
   EXPECT_TRUE(persisted.count("TenantBook") == 1 &&
-              persisted.count("OpenWindow") == 1)
+              persisted.count("FlowRecord") == 1 &&
+              persisted.count("MinuteDetection") == 1)
       << "expected anchor structs disappeared — did serialization move?";
 
   std::string test_text;

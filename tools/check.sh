@@ -4,7 +4,8 @@
 # unit tests, the sharded-aggregation property tests, and the
 # serial-equivalence integration tests — then build under ASan+UBSan and
 # run the memory-sensitive codec tests (the columnar record store does raw
-# varint pointer walks; ASan catches overreads TSan never would).
+# varint pointer walks; ASan catches overreads TSan never would) and the
+# stream monitor's minute-buffer and checkpoint suites.
 #
 # Stages (all builds use -Werror via DM_WERROR=ON):
 #   1. dmlint self-scan against the committed baseline (skip: DM_LINT=0)
@@ -28,7 +29,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
 FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort}"
-ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
+ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|TraceIo|Aggregate|WindowShardMerge|SegmentStore|StreamMonitor|StreamCheckpoint}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
 # the committed baseline (which is kept empty). The scan itself (not the
