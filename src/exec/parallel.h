@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -79,15 +78,6 @@ void parallel_for_chunks_n(ThreadPool* pool, std::size_t n, std::size_t chunks,
   group.wait();
 }
 
-/// Runs body(i) for every i in [0, n), chunked as above.
-template <typename Body>
-void parallel_for(ThreadPool* pool, std::size_t n, Body&& body) {
-  parallel_for_chunks(pool, n,
-                      [&body](std::size_t begin, std::size_t end, std::size_t) {
-                        for (std::size_t i = begin; i < end; ++i) body(i);
-                      });
-}
-
 /// Maps each chunk [begin, end) to one T; returns the chunk results in chunk
 /// index order. T must be default-constructible (the usual case: a vector
 /// the chunk fills).
@@ -121,63 +111,52 @@ template <typename T, typename Map>
 }
 
 /// Bounded-residency variant of parallel_map_chunks_n: chunks execute in
-/// waves of `window`, and after each wave's barrier its results are handed
-/// to consume(chunk_index, T&&) in chunk-index order before the next wave
-/// starts. At most `window` chunk results are ever alive at once — the
-/// memory bound the spill tier's shard merge needs — while chunk boundaries
-/// and consume order are IDENTICAL to parallel_map_chunks_n followed by an
-/// ordered fold, so the consumed sequence is byte-equal for any window and
-/// any thread count. (A wave barrier, not a producer-blocking queue: the
-/// pool pops its own queue LIFO, so low-index chunks finish last and a
-/// bounded queue would either stall every worker or buffer every result.)
+/// waves of `window`, and each wave's results are handed to
+/// consume(chunk_index, T&&) in chunk-index order on the calling thread
+/// while the next wave runs on the pool, so a serial consume overlaps the
+/// parallel map. At most two waves of results — 2 x `window` — are ever
+/// alive at once, the memory bound the spill tier's shard merge needs,
+/// while chunk boundaries and consume order are IDENTICAL to
+/// parallel_map_chunks_n followed by an ordered fold, so the consumed
+/// sequence is byte-equal for any window and any thread count. (Wave
+/// barriers, not a producer-blocking queue: the pool pops its own queue
+/// LIFO, so low-index chunks finish last and a bounded queue would either
+/// stall every worker or buffer every result.)
 template <typename T, typename Map, typename Consume>
 void parallel_map_waves_n(ThreadPool* pool, std::size_t n, std::size_t chunks,
                           std::size_t window, Map&& map, Consume&& consume) {
   if (n == 0) return;
   chunks = std::max<std::size_t>(1, std::min(chunks, n));
   window = std::max<std::size_t>(1, window);
-  const bool serial = pool == nullptr || pool->thread_count() == 0;
+  const auto run = [&](std::size_t c) {
+    return map(c * n / chunks, (c + 1) * n / chunks);
+  };
+  if (pool == nullptr || pool->thread_count() == 0) {
+    for (std::size_t c = 0; c < chunks; ++c) consume(c, run(c));
+    return;
+  }
+  std::vector<T> ready;  // the previous wave, consumed while this one runs
+  std::size_t ready_begin = 0;
+  const auto consume_ready = [&] {
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+      consume(ready_begin + i, std::move(ready[i]));
+    }
+  };
   for (std::size_t wave = 0; wave < chunks; wave += window) {
     const std::size_t wave_end = std::min(chunks, wave + window);
+    // Declared before the group, whose destructor waits for its tasks, so
+    // the results outlive every task writing them even if consume throws.
     std::vector<T> results(wave_end - wave);
-    if (serial) {
-      for (std::size_t c = wave; c < wave_end; ++c) {
-        results[c - wave] = map(c * n / chunks, (c + 1) * n / chunks);
-      }
-    } else {
-      TaskGroup group(*pool);
-      for (std::size_t c = wave; c < wave_end; ++c) {
-        group.run([&map, &results, wave, c, n, chunks] {
-          results[c - wave] = map(c * n / chunks, (c + 1) * n / chunks);
-        });
-      }
-      group.wait();
-    }
+    TaskGroup group(*pool);
     for (std::size_t c = wave; c < wave_end; ++c) {
-      consume(c, std::move(results[c - wave]));
+      group.run([&run, &results, wave, c] { results[c - wave] = run(c); });
     }
+    consume_ready();
+    group.wait();
+    ready = std::move(results);
+    ready_begin = wave;
   }
-}
-
-/// Maps every index to one T; returns results in index order.
-template <typename T, typename Map>
-[[nodiscard]] std::vector<T> parallel_map(ThreadPool* pool, std::size_t n,
-                                          Map&& map) {
-  std::vector<T> results(n);
-  parallel_for(pool, n, [&](std::size_t i) { results[i] = map(i); });
-  return results;
-}
-
-/// Map-reduce with an ordered merge: map(i) -> T runs in parallel, then
-/// reduce(acc, T&&) folds the results serially in index order — so the
-/// reduction sees the same sequence no matter how many threads mapped.
-template <typename Acc, typename T, typename Map, typename Reduce>
-[[nodiscard]] Acc parallel_map_reduce(ThreadPool* pool, std::size_t n, Acc init,
-                                      Map&& map, Reduce&& reduce) {
-  std::vector<T> results = parallel_map<T>(pool, n, std::forward<Map>(map));
-  Acc acc = std::move(init);
-  for (T& r : results) acc = reduce(std::move(acc), std::move(r));
-  return acc;
+  consume_ready();
 }
 
 /// Concatenates per-chunk vectors (in chunk order) into one vector — the
@@ -193,71 +172,6 @@ template <typename T>
                std::make_move_iterator(p.end()));
   }
   return out;
-}
-
-/// Sorts `v` by `less`. Chunks are sorted in parallel, then pairwise-merged;
-/// when `less` is a strict total order (no ties) the result is the unique
-/// sorted permutation, hence independent of the chunk count. Callers that
-/// need byte-stable output must therefore break ties (e.g. by original
-/// index) inside `less`.
-template <typename T, typename Less>
-void parallel_sort(ThreadPool* pool, std::vector<T>& v, Less less) {
-  const std::size_t n = v.size();
-  std::size_t chunks = chunk_count_for(pool, n);
-  if (chunks <= 1) {
-    std::sort(v.begin(), v.end(), less);
-    return;
-  }
-
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) bounds[c] = c * n / chunks;
-  parallel_for_chunks(pool, chunks,
-                      [&](std::size_t cb, std::size_t ce, std::size_t) {
-                        for (std::size_t c = cb; c < ce; ++c) {
-                          std::sort(v.begin() + static_cast<std::ptrdiff_t>(bounds[c]),
-                                    v.begin() + static_cast<std::ptrdiff_t>(bounds[c + 1]),
-                                    less);
-                        }
-                      });
-
-  // Merge tree: each round merges adjacent run pairs src -> dst in parallel.
-  std::vector<T> scratch(v.size());
-  std::vector<T>* src = &v;
-  std::vector<T>* dst = &scratch;
-  while (bounds.size() > 2) {
-    const std::size_t runs = bounds.size() - 1;
-    const std::size_t pairs = runs / 2;
-    // chunks > 1 implies a real pool (chunk_count_for returns 1 otherwise).
-    TaskGroup group(*pool);
-    const auto merge_pair = [&](std::size_t p) {
-      const std::size_t lo = bounds[2 * p];
-      const std::size_t mid = bounds[2 * p + 1];
-      const std::size_t hi = bounds[2 * p + 2];
-      std::merge(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                 src->begin() + static_cast<std::ptrdiff_t>(mid),
-                 src->begin() + static_cast<std::ptrdiff_t>(mid),
-                 src->begin() + static_cast<std::ptrdiff_t>(hi),
-                 dst->begin() + static_cast<std::ptrdiff_t>(lo), less);
-    };
-    for (std::size_t p = 0; p < pairs; ++p) {
-      group.run([&merge_pair, p] { merge_pair(p); });
-    }
-    group.wait();
-    if (runs % 2 != 0) {
-      // Odd tail run: carried over unmerged.
-      std::copy(src->begin() + static_cast<std::ptrdiff_t>(bounds[runs - 1]),
-                src->begin() + static_cast<std::ptrdiff_t>(bounds[runs]),
-                dst->begin() + static_cast<std::ptrdiff_t>(bounds[runs - 1]));
-    }
-    std::vector<std::size_t> next;
-    next.reserve(pairs + 2);
-    for (std::size_t p = 0; p <= pairs; ++p) next.push_back(bounds[2 * p]);
-    if (runs % 2 != 0) next.push_back(bounds[runs]);
-    else next.back() = bounds[runs];
-    bounds = std::move(next);
-    std::swap(src, dst);
-  }
-  if (src != &v) v = std::move(*src);
 }
 
 }  // namespace dm::exec

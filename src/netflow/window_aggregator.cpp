@@ -117,16 +117,14 @@ std::optional<Direction> classify_memo(const FlowRecord& record,
 /// The canonical record ordering, packed for cheap comparisons:
 ///   k0 = (vip, direction), k1 = minute (sign-bias mapped), and
 ///   k2 = (remote ip, arrival index). The arrival-index tie-break makes the
-/// order a strict total order, so any parallel merge of sorted runs yields
-/// the one unique permutation — the root of thread-count invariance.
+/// order a strict total order, so an unstable sort yields the one unique
+/// permutation. Only aggregate_shard's fallback for minutes outside the
+/// packed range sorts these.
 struct SortKey {
   std::uint64_t k0;
   std::uint64_t k1;
   std::uint64_t k2;
 
-  [[nodiscard]] bool window_equal(const SortKey& o) const noexcept {
-    return k0 == o.k0 && k1 == o.k1;
-  }
   friend bool operator<(const SortKey& a, const SortKey& b) noexcept {
     return std::tie(a.k0, a.k1, a.k2) < std::tie(b.k0, b.k1, b.k2);
   }
@@ -293,6 +291,10 @@ std::vector<VipMinuteStats> build_windows_blocks(const ColumnarView& view,
 /// inside the already-sorted locality window.
 constexpr std::size_t kGatherPrefetch = 8;
 
+/// VIP samples drawn per target shard when aggregate_windows cuts the
+/// address space: enough that the quantile cuts track the VIP mix.
+constexpr std::size_t kSamplesPerShard = 16;
+
 }  // namespace
 
 WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
@@ -303,131 +305,109 @@ WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
   util::tune_malloc_for_streaming();
   const std::size_t n = records.size();
 
-  // Phase 1: orient every record (parallel — at most two longest-prefix
-  // lookups per record, memoized per side within a chunk), then compact
-  // serially so kept records retain arrival order.
-  std::vector<std::uint8_t> cls(n);
-  constexpr std::uint8_t kDrop = 2;
+  // Cut the VIP address space into ranges at the quantiles of a strided
+  // sample of the kept records' VIPs. The canonical order leads with the
+  // VIP, so every cut yields the same output; the sample only balances the
+  // shards. A VIP heavier than a quantile step collapses adjacent cuts.
+  const std::size_t target =
+      std::max<std::size_t>(1, std::min(n, shard_count_for(pool, spill)));
+  std::vector<std::uint32_t> cuts;
+  {
+    std::vector<std::uint32_t> sample;
+    const std::size_t stride =
+        std::max<std::size_t>(1, n / (target * kSamplesPerShard));
+    for (std::size_t i = 0; i < n; i += stride) {
+      if (const auto dir = classify(records[i], cloud_space)) {
+        sample.push_back(OrientedFlow{&records[i], *dir}.vip().value());
+      }
+    }
+    std::sort(sample.begin(), sample.end());
+    for (std::size_t s = 1; s < target && !sample.empty(); ++s) {
+      const std::uint32_t cut = sample[s * sample.size() / target];
+      if (cut > (cuts.empty() ? sample.front() : cuts.back())) {
+        cuts.push_back(cut);
+      }
+    }
+  }
+  const std::size_t shards = cuts.size() + 1;
+
+  // Classify every record (parallel, memoized per side within a chunk) to
+  // its VIP range, counting each chunk's records per range. Unclassified
+  // records ride along in range 0, where aggregate_shard drops and counts
+  // them.
+  const std::size_t chunks = exec::chunk_count_for(pool, n);
+  std::vector<std::uint32_t> shard_of(n);
+  std::vector<std::size_t> slot(chunks * shards, 0);
   exec::parallel_for_chunks(
-      pool, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
+      pool, n, [&](std::size_t lo, std::size_t hi, std::size_t c) {
         MembershipMemo src_cloud(&cloud_space);
         MembershipMemo dst_cloud(&cloud_space);
+        std::size_t* const count = &slot[c * shards];
+        // Every cut exceeds the smallest sampled VIP, so VIP 0 is in range
+        // 0 — a valid starting memo.
+        std::uint32_t memo_vip = 0;
+        std::uint32_t memo_shard = 0;
         for (std::size_t i = lo; i < hi; ++i) {
-          const auto dir = classify_memo(records[i], src_cloud, dst_cloud);
-          cls[i] = dir ? static_cast<std::uint8_t>(*dir) : kDrop;
+          std::uint32_t shard = 0;
+          if (const auto dir = classify_memo(records[i], src_cloud, dst_cloud)) {
+            const std::uint32_t vip = OrientedFlow{&records[i], *dir}.vip().value();
+            if (vip != memo_vip) {
+              memo_vip = vip;
+              memo_shard = static_cast<std::uint32_t>(
+                  std::upper_bound(cuts.begin(), cuts.end(), vip) - cuts.begin());
+            }
+            shard = memo_shard;
+          }
+          shard_of[i] = shard;
+          ++count[shard];
         }
       });
-  std::vector<Direction> dirs;
-  dirs.reserve(n);
-  std::uint64_t unclassified = 0;
+
+  // Stable counting scatter of record indices by range: range-major,
+  // chunk-minor offsets keep every range's indices in arrival order, the
+  // tie-break of the canonical order.
+  std::vector<std::size_t> shard_begin(shards + 1, 0);
   {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cls[i] == kDrop) {
-        ++unclassified;
-        continue;
+    std::size_t next = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      shard_begin[s] = next;
+      for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t count = slot[c * shards + s];
+        slot[c * shards + s] = next;
+        next += count;
       }
-      if (keep != i) records[keep] = records[i];
-      dirs.push_back(static_cast<Direction>(cls[i]));
-      ++keep;
     }
-    records.resize(keep);
+    shard_begin[shards] = next;
   }
-  const std::size_t kept = records.size();
-
-  // Phase 2: canonical sort — parallel chunk sort + pairwise merges over
-  // precomputed keys; the arrival-index tie-break makes the result unique.
-  std::vector<SortKey> keys(kept);
+  std::vector<std::uint32_t> index(n);
   exec::parallel_for_chunks(
-      pool, kept, [&](std::size_t lo, std::size_t hi, std::size_t) {
+      pool, n, [&](std::size_t lo, std::size_t hi, std::size_t c) {
+        std::size_t* const at = &slot[c * shards];
         for (std::size_t i = lo; i < hi; ++i) {
-          keys[i] = key_of(records[i], dirs[i], i);
+          index[at[shard_of[i]]++] = static_cast<std::uint32_t>(i);
         }
       });
-  exec::parallel_sort(pool, keys,
-                      [](const SortKey& a, const SortKey& b) { return a < b; });
+  shard_of = std::vector<std::uint32_t>();
 
-  // Phase 3: encode the columnar slice AND build windows per shard — the
-  // gather into a sorted array-of-structs copy is gone; each chunk encodes
-  // straight through the sort permutation (keys[i].k2 carries the source
-  // index) and then block-decodes its own just-encoded columns to build the
-  // windows. Shard edges are snapped forward to the next
-  // (vip, direction, minute) boundary so no window (hence no run) straddles
-  // two shards; concatenating shard outputs in index order reproduces the
-  // single-pass result exactly.
-  const auto aligned = [&](std::size_t i) {
-    while (i > 0 && i < kept && keys[i - 1].window_equal(keys[i])) ++i;
-    return i;
-  };
-  struct BuiltChunk {
-    std::vector<VipMinuteStats> windows;
-    ColumnarRecords columns;
-  };
-  const auto build_chunk = [&](std::size_t lo, std::size_t hi) {
-    BuiltChunk chunk;
-    const std::size_t b = aligned(lo);
-    const std::size_t e = aligned(hi);
-    for (std::size_t i = b; i < e; ++i) {
-      if (i + kGatherPrefetch < e) {
-        const auto ahead = static_cast<std::size_t>(
-            keys[i + kGatherPrefetch].k2 & 0xffffffffULL);
-        exec::prefetch_read(&records[ahead]);
-      }
-      const auto src = static_cast<std::size_t>(keys[i].k2 & 0xffffffffULL);
-      chunk.columns.push_back(records[src], dirs[src]);
-    }
-    // Both outputs are held until the index-ordered merge; drop the
-    // push_back growth overshoot so the barrier holds exact sizes.
-    chunk.columns.shrink_to_fit();
-    chunk.windows = build_windows_blocks(chunk.columns.view(), blacklist, b);
-    chunk.windows.shrink_to_fit();
-    return chunk;
-  };
-
-  if (spill != nullptr && spill->enabled()) {
-    // Out-of-core merge: chunks stream through the SpillWriter in index
-    // order (wave-bounded residency) instead of accumulating for the
-    // barrier below. Window first/last_record indices are global already —
-    // build_windows indexes the fully sorted arrays — so no rebase.
-    SpillWriter writer(*spill);
-    std::vector<VipMinuteStats> windows;
-    const std::size_t workers =
-        pool == nullptr ? 0 : static_cast<std::size_t>(pool->thread_count());
-    const std::size_t wave = 2 * std::max<std::size_t>(workers, 1);
-    exec::parallel_map_waves_n<BuiltChunk>(
-        pool, kept, exec::chunk_count_for(pool, kept), wave, build_chunk,
-        [&](std::size_t, BuiltChunk&& c) {
-          windows.insert(windows.end(), c.windows.begin(), c.windows.end());
-          writer.append(std::move(c.columns));
-        });
-    return WindowedTrace(std::move(writer).finish(), std::move(windows),
-                         unclassified);
-  }
-
-  std::vector<BuiltChunk> chunks = exec::parallel_map_chunks<BuiltChunk>(
-      pool, kept,
-      [&](std::size_t lo, std::size_t hi) { return build_chunk(lo, hi); });
-
-  std::size_t total_windows = 0;
-  ColumnarRecords::BufferSizes total_bytes;
-  for (const BuiltChunk& c : chunks) {
-    total_windows += c.windows.size();
-    const auto s = c.columns.buffer_sizes();
-    total_bytes.header_bytes += s.header_bytes + 20;  // re-encoded first header
-    total_bytes.payload_bytes += s.payload_bytes;
-    total_bytes.runs += s.runs;
-    total_bytes.checkpoints += s.checkpoints;
-  }
-  std::vector<VipMinuteStats> windows;
-  windows.reserve(total_windows);
-  ColumnarRecords columns;
-  columns.reserve(total_bytes);
-  for (BuiltChunk& c : chunks) {
-    windows.insert(windows.end(), c.windows.begin(), c.windows.end());
-    columns.append(std::move(c.columns));
-    c = BuiltChunk();
-  }
-  return WindowedTrace(std::move(columns), std::move(windows), unclassified);
+  // Each range gathers its records (prefetched: the reads stride through
+  // the arrival-order input) and runs the shard core. Every window holds at
+  // least one record, so n bounds the spilled merge's window count.
+  return merge_shards(
+      pool, shards,
+      [&](std::size_t s) {
+        const std::size_t b = shard_begin[s];
+        const std::size_t e = shard_begin[s + 1];
+        std::vector<FlowRecord> part;
+        part.reserve(e - b);
+        for (std::size_t i = b; i < e; ++i) {
+          if (i + kGatherPrefetch < e) {
+            exec::prefetch_read(&records[index[i + kGatherPrefetch]]);
+          }
+          part.push_back(records[index[i]]);
+        }
+        return aggregate_shard(std::move(part), cloud_space, blacklist);
+      },
+      spill, n);
 }
 
 ShardWindows aggregate_shard(std::vector<FlowRecord> records,
@@ -581,6 +561,89 @@ ShardWindows aggregate_shard(std::vector<FlowRecord> records,
   // not push_back growth overshoot.
   out.windows.shrink_to_fit();
   return out;
+}
+
+std::size_t shard_count_for(const exec::ThreadPool* pool,
+                            const SpillConfig* spill) noexcept {
+  const std::size_t per_worker =
+      spill != nullptr && spill->enabled() ? 256 : 64;
+  const std::size_t workers =
+      pool == nullptr ? 0 : static_cast<std::size_t>(pool->thread_count());
+  return per_worker * std::max<std::size_t>(workers, 1);
+}
+
+WindowedTrace merge_shards(
+    exec::ThreadPool* pool, std::size_t shards,
+    const std::function<ShardWindows(std::size_t)>& make_shard,
+    const SpillConfig* spill, std::size_t window_capacity) {
+  const auto run = [&](std::size_t s, std::size_t) { return make_shard(s); };
+  std::vector<VipMinuteStats> windows;
+  std::uint64_t unclassified = 0;
+  std::size_t consumed = 0;
+  // Copies a shard's windows straight into place, patching the two index
+  // fields while the destination line is still hot — one touch per
+  // ~184-byte struct instead of a copy pass plus a patch pass — and then
+  // releases the slice, trimming periodically so pages the worker arenas
+  // retain for freed slices leave the process instead of stacking under
+  // the growing merged copy.
+  const auto take = [&](ShardWindows& s, std::size_t base) {
+    for (const VipMinuteStats& w : s.windows) {
+      VipMinuteStats& back = windows.emplace_back(w);
+      back.first_record += static_cast<std::uint32_t>(base);
+      back.last_record += static_cast<std::uint32_t>(base);
+    }
+    unclassified += s.unclassified;
+    s = ShardWindows();
+    if (++consumed % 64 == 0) util::release_free_heap();
+  };
+
+  if (spill != nullptr && spill->enabled()) {
+    // Out-of-core: shards are consumed in index order while the next wave
+    // runs, so at most two waves are resident; the SpillWriter seals
+    // segments per policy. The window count is unknown until the last
+    // shard lands, and geometric growth would copy the largest resident
+    // array on the serial consume path and briefly hold old + new copies,
+    // so the caller's bound is reserved up front (virtually — only touched
+    // pages cost RSS).
+    SpillWriter writer(*spill);
+    windows.reserve(window_capacity);
+    const std::size_t workers =
+        pool == nullptr ? 0 : static_cast<std::size_t>(pool->thread_count());
+    exec::parallel_map_waves_n<ShardWindows>(
+        pool, shards, shards, 2 * std::max<std::size_t>(workers, 1), run,
+        [&](std::size_t, ShardWindows&& s) {
+          const std::size_t base = writer.records_so_far();
+          writer.append(std::move(s.columns));
+          take(s, base);
+        });
+    util::release_free_heap();
+    return WindowedTrace(std::move(writer).finish(), std::move(windows),
+                         unclassified);
+  }
+
+  std::vector<ShardWindows> parts =
+      exec::parallel_map_chunks_n<ShardWindows>(pool, shards, shards, run);
+  // Reserve the exact summed sizes so the appends never over-allocate.
+  std::size_t total_windows = 0;
+  ColumnarRecords::BufferSizes total_bytes;
+  for (const ShardWindows& s : parts) {
+    total_windows += s.windows.size();
+    const auto b = s.columns.buffer_sizes();
+    total_bytes.header_bytes += b.header_bytes + 20;  // re-encoded first header
+    total_bytes.payload_bytes += b.payload_bytes;
+    total_bytes.runs += b.runs;
+    total_bytes.checkpoints += b.checkpoints;
+  }
+  ColumnarRecords columns;
+  columns.reserve(total_bytes);
+  windows.reserve(total_windows);
+  for (ShardWindows& s : parts) {
+    const std::size_t base = columns.size();
+    columns.append(std::move(s.columns));
+    take(s, base);
+  }
+  util::release_free_heap();
+  return WindowedTrace(std::move(columns), std::move(windows), unclassified);
 }
 
 }  // namespace dm::netflow

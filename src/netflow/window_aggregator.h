@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -134,13 +135,15 @@ class WindowedTrace {
                                                 const PrefixSet& cloud_space) noexcept;
 
 /// Builds the windowed dataset. `blacklist` (may be null) marks TDS hosts
-/// for the communication-pattern feature. `pool` (may be null = serial)
-/// shards the classify, sort, and window-build phases; the record order is
-/// canonical — (vip, direction, minute, remote, arrival index) — so the
-/// result is byte-identical for any thread count and any input sharding.
-/// A non-null enabled `spill` streams the encoded chunks through a
-/// SpillWriter instead of concatenating them in RAM; the resulting trace
-/// decodes byte-identically either way.
+/// for the communication-pattern feature. The records are partitioned into
+/// VIP address ranges (cut at quantiles of a strided VIP sample, arrival
+/// order kept within each range) and each range runs aggregate_shard on
+/// `pool` (may be null = serial) through merge_shards. The record order is
+/// canonical — (vip, direction, minute, remote, arrival index) — and leads
+/// with the VIP, so the result is byte-identical for any thread count, any
+/// cut, and any input sharding. A non-null enabled `spill` streams the
+/// shard slices through a SpillWriter instead of concatenating them in RAM;
+/// the resulting trace decodes byte-identically either way.
 [[nodiscard]] WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
                                               const PrefixSet& cloud_space,
                                               const PrefixSet* blacklist = nullptr,
@@ -150,24 +153,48 @@ class WindowedTrace {
 /// One shard's fully aggregated slice: kept records (with directions) in
 /// canonical order inside a shard-local columnar store, windows whose
 /// first/last_record indices are SHARD-LOCAL, and the shard's
-/// dropped-record count. Merging = ColumnarRecords::append in shard order
-/// plus rebasing the window index ranges.
+/// dropped-record count. merge_shards concatenates slices in shard order
+/// and rebases the window index ranges.
 struct ShardWindows {
   ColumnarRecords columns;
   std::vector<VipMinuteStats> windows;
   std::uint64_t unclassified = 0;
 };
 
-/// The shard-level aggregation core shared by aggregate_windows and the
-/// fused generate→aggregate path (sim::generate_windows): classify+compact,
-/// canonical sort (LSD radix over a packed 128-bit key when every minute
-/// fits 31 bits — always true for generator output — comparison sort
-/// otherwise), and single-pass window build, all serial: the shard itself
-/// is the unit of parallelism. When the input holds a contiguous range of
-/// the VIP address space, concatenating shard slices in address order
-/// reproduces aggregate_windows' global output exactly.
+/// The aggregation core, run once per shard by aggregate_windows, the fused
+/// generate→aggregate path (sim::generate_windows), and
+/// detect::StreamMonitor's minute close: classify+compact, canonical sort
+/// (LSD radix over packed keys when every minute fits 31 bits — always
+/// true for generator output — comparison sort otherwise), and single-pass
+/// window build, all serial: the shard itself is the unit of parallelism.
+/// When shards hold contiguous, disjoint ranges of the VIP address space,
+/// concatenating their slices in address order yields the global canonical
+/// order.
 [[nodiscard]] ShardWindows aggregate_shard(std::vector<FlowRecord> records,
                                            const PrefixSet& cloud_space,
                                            const PrefixSet* blacklist = nullptr);
+
+/// How many shards a sharded aggregation aims for on `pool`: 64 per worker
+/// (64 when serial), 256 per worker when `spill` is enabled, where shards
+/// are also the unit of out-of-core progress. Shards bound the in-flight
+/// transient memory (W workers hold W shards at once), so the count scales
+/// with the pool rather than the input. Callers clamp it to what they can
+/// split.
+[[nodiscard]] std::size_t shard_count_for(const exec::ThreadPool* pool,
+                                          const SpillConfig* spill) noexcept;
+
+/// The one shard merge: runs make_shard(s) for every s in [0, shards) on
+/// `pool` and concatenates the ShardWindows in shard order — columnar
+/// slices appended, window record ranges rebased to global offsets,
+/// unclassified counts summed. Resident, every shard lands before an
+/// exact-size concatenation; with an enabled `spill`, shards run in waves
+/// of two per worker and stream through a SpillWriter, so at most two
+/// waves are resident, and `window_capacity` (an upper bound on the window
+/// count, 0 = unknown) is reserved up front. Either way the decoded trace
+/// is the same for any thread count.
+[[nodiscard]] WindowedTrace merge_shards(
+    exec::ThreadPool* pool, std::size_t shards,
+    const std::function<ShardWindows(std::size_t)>& make_shard,
+    const SpillConfig* spill = nullptr, std::size_t window_capacity = 0);
 
 }  // namespace dm::netflow

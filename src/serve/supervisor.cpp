@@ -442,14 +442,16 @@ std::vector<ShardFile> Supervisor::snapshot_files() const {
   for (std::size_t t = 0; t < specs_.size(); ++t) {
     for (std::uint32_t s = 0; s < specs_[t].shards; ++s) flat.push_back({t, s});
   }
-  std::vector<std::vector<std::uint8_t>> blobs =
-      exec::parallel_map<std::vector<std::uint8_t>>(
-          pool_, flat.size(), [&](std::size_t i) {
-            std::ostringstream out(std::ios::binary);
-            monitors_[flat[i].first][flat[i].second]->checkpoint(out);
-            const std::string s = out.str();
-            return std::vector<std::uint8_t>(s.begin(), s.end());
-          });
+  std::vector<std::vector<std::uint8_t>> blobs(flat.size());
+  exec::parallel_for_chunks(
+      pool_, flat.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          std::ostringstream out(std::ios::binary);
+          monitors_[flat[i].first][flat[i].second]->checkpoint(out);
+          const std::string s = out.str();
+          blobs[i].assign(s.begin(), s.end());
+        }
+      });
   std::vector<ShardFile> files;
   files.reserve(flat.size() + 1);
   files.push_back({kBookFile, encode_books()});

@@ -64,20 +64,21 @@ struct FusedTrace {
   netflow::WindowedTrace windowed;
   GroundTruth truth;
   /// Sampled records the generator emitted, before orientation dropped
-  /// transit/intra-cloud records — equals TraceResult::records.size() of
-  /// the unfused path.
+  /// transit/intra-cloud records (kept + unclassified) — equals
+  /// TraceResult::records.size() of the unfused path.
   std::uint64_t generated_records = 0;
 };
 
 /// The fused streaming path: each shard owns a contiguous range of the
 /// cloud's VIP *address space*, generates its VIPs' benign traffic and the
-/// attack episodes targeting them, and runs the full shard-level
-/// aggregation core (classify → packed-key radix sort → window build) in
-/// place; the merge is an index-ordered concatenation because the canonical
-/// record order leads with the VIP address and shards own disjoint address
-/// ranges. RNG streams are still split per VIP/episode index, so the
-/// result is byte-identical to generate_trace + aggregate_windows (with the
-/// scenario's TDS blacklist) for any thread count.
+/// attack episodes targeting them, and runs netflow::aggregate_shard on
+/// them in place; netflow::merge_shards concatenates the slices in address
+/// order, because the canonical record order leads with the VIP address
+/// and shards own disjoint address ranges. aggregate_windows runs the same
+/// core and merge over ranges it cuts from ingested records. RNG streams
+/// are still split per VIP/episode index, so the result is byte-identical
+/// to generate_trace + aggregate_windows (with the scenario's TDS
+/// blacklist) for any thread count.
 [[nodiscard]] FusedTrace generate_windows(const Scenario& scenario,
                                           exec::ThreadPool* pool);
 

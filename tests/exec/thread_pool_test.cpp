@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -129,26 +130,35 @@ TEST(ParallelExec, ParallelForCoversRangeOnce) {
   for (unsigned threads : {0u, 1u, 3u}) {
     ThreadPool pool(threads);
     std::vector<std::atomic<int>> counts(999);
-    parallel_for(&pool, counts.size(),
-                 [&](std::size_t i) { counts[i].fetch_add(1); });
+    parallel_for_chunks(&pool, counts.size(),
+                        [&](std::size_t begin, std::size_t end, std::size_t) {
+                          for (std::size_t i = begin; i < end; ++i) {
+                            counts[i].fetch_add(1);
+                          }
+                        });
     for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
   }
 }
 
 TEST(ParallelExec, MapReduceMergesInIndexOrder) {
-  // The reduction must see shard results in index order regardless of the
-  // pool size; concatenation makes any reordering visible.
+  // The fold must see chunk results in index order regardless of the pool
+  // size; concatenation makes any reordering visible.
   const auto run = [](ThreadPool* pool) {
-    return parallel_map_reduce<std::vector<std::size_t>, std::size_t>(
-        pool, 200, std::vector<std::size_t>{},
-        [](std::size_t i) { return i * i; },
-        [](std::vector<std::size_t> acc, std::size_t x) {
-          acc.push_back(x);
-          return acc;
-        });
+    const std::vector<std::vector<std::size_t>> parts =
+        parallel_map_chunks<std::vector<std::size_t>>(
+            pool, 200, [](std::size_t begin, std::size_t end) {
+              std::vector<std::size_t> squares;
+              for (std::size_t i = begin; i < end; ++i) squares.push_back(i * i);
+              return squares;
+            });
+    EXPECT_EQ(parts.size(), chunk_count_for(pool, 200));
+    std::vector<std::size_t> acc;
+    for (const auto& part : parts) acc.insert(acc.end(), part.begin(), part.end());
+    return acc;
   };
   const std::vector<std::size_t> serial = run(nullptr);
   ASSERT_EQ(serial.size(), 200u);
+  for (std::size_t i = 0; i < serial.size(); ++i) EXPECT_EQ(serial[i], i * i);
   for (unsigned threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     EXPECT_EQ(run(&pool), serial) << "threads=" << threads;
@@ -157,37 +167,63 @@ TEST(ParallelExec, MapReduceMergesInIndexOrder) {
 
 TEST(ParallelExec, ParallelForPropagatesException) {
   ThreadPool pool(3);
-  EXPECT_THROW(parallel_for(&pool, 1000,
-                            [](std::size_t i) {
-                              if (i == 777) throw std::runtime_error("x");
-                            }),
+  EXPECT_THROW(parallel_for_chunks(&pool, 1000,
+                                   [](std::size_t begin, std::size_t end,
+                                      std::size_t) {
+                                     if (begin <= 777 && 777 < end) {
+                                       throw std::runtime_error("x");
+                                     }
+                                   }),
                std::runtime_error);
 }
 
-TEST(ParallelExec, ParallelSortMatchesSerialSort) {
-  std::vector<std::uint64_t> base(20'000);
-  std::uint64_t x = 88172645463325252ULL;  // xorshift64
-  for (auto& v : base) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    v = x % 5000;  // plenty of duplicates
-  }
-  auto expected = base;
-  std::sort(expected.begin(), expected.end());
-  for (unsigned threads : {0u, 1u, 2u, 5u}) {
-    ThreadPool pool(threads);
-    auto v = base;
-    parallel_sort(&pool, v,
-                  [](std::uint64_t a, std::uint64_t b) { return a < b; });
-    EXPECT_EQ(v, expected) << "threads=" << threads;
+TEST(ParallelExec, WavesConsumeInIndexOrderWithinTwoWaves) {
+  // Every chunk is consumed exactly once, in chunk-index order, with the
+  // same boundaries as parallel_map_chunks_n; at most two waves of results
+  // are alive at once, whatever the pool size.
+  constexpr std::size_t kItems = 1000;
+  constexpr std::size_t kChunks = 37;
+  for (const std::size_t window : {1u, 3u, 8u}) {
+    for (unsigned threads : {0u, 1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      std::atomic<std::size_t> alive{0};
+      std::atomic<std::size_t> peak{0};
+      std::vector<std::pair<std::size_t, std::size_t>> consumed;
+      parallel_map_waves_n<std::pair<std::size_t, std::size_t>>(
+          &pool, kItems, kChunks, window,
+          [&](std::size_t begin, std::size_t end) {
+            const std::size_t now = alive.fetch_add(1) + 1;
+            std::size_t seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            return std::make_pair(begin, end);
+          },
+          [&](std::size_t c, std::pair<std::size_t, std::size_t>&& range) {
+            alive.fetch_sub(1);
+            EXPECT_EQ(c, consumed.size());
+            consumed.push_back(range);
+          });
+      ASSERT_EQ(consumed.size(), kChunks)
+          << "window=" << window << " threads=" << threads;
+      for (std::size_t c = 0; c < kChunks; ++c) {
+        EXPECT_EQ(consumed[c].first, c * kItems / kChunks);
+        EXPECT_EQ(consumed[c].second, (c + 1) * kItems / kChunks);
+      }
+      EXPECT_LE(peak.load(), 2 * window)
+          << "window=" << window << " threads=" << threads;
+    }
   }
 }
 
 TEST(ParallelExec, NullPoolRunsSerially) {
   std::vector<int> order;
-  parallel_for(nullptr, 50,
-               [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  parallel_for_chunks(nullptr, 50,
+                      [&](std::size_t begin, std::size_t end, std::size_t c) {
+                        EXPECT_EQ(c, 0u);
+                        for (std::size_t i = begin; i < end; ++i) {
+                          order.push_back(static_cast<int>(i));
+                        }
+                      });
   ASSERT_EQ(order.size(), 50u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }

@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <functional>
+#include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -164,6 +170,214 @@ TEST(WindowShardMerge, ThreadedAggregationMatchesSerial) {
           << "direction " << sit.index();
     }
     expect_same_trace(serial, threaded, "threaded");
+  }
+}
+
+/// Records over `vip_count` VIPs whose minutes come from `minute`, with a
+/// small remote pool so (vip, direction, minute, remote) ties are common and
+/// the arrival-order tie-break shows in the record order.
+std::vector<FlowRecord> branch_records(
+    util::Rng& rng, std::size_t count, std::uint32_t vip_count,
+    const std::function<util::Minute(util::Rng&)>& minute) {
+  constexpr std::uint16_t kPorts[] = {25, 1433, 3306, 22, 3389, 5900, 53, 80};
+  constexpr TcpFlags kFlags[] = {
+      TcpFlags::kSyn, TcpFlags::kNone, TcpFlags::kRst,
+      TcpFlags::kFin | TcpFlags::kPsh | TcpFlags::kUrg,
+      TcpFlags::kAck | TcpFlags::kPsh};
+  constexpr Protocol kProtocols[] = {Protocol::kTcp, Protocol::kUdp,
+                                     Protocol::kIcmp, Protocol::kIpEncap};
+  std::vector<FlowRecord> out(count);
+  for (FlowRecord& r : out) {
+    r.minute = minute(rng);
+    const IPv4 vip(IPv4::from_octets(100, 64, 0, 0).value() + 1 +
+                   static_cast<std::uint32_t>(rng.below(vip_count)));
+    const IPv4 remote = IPv4::from_octets(
+        4, static_cast<std::uint8_t>(rng.chance(0.2) ? 9 : 1), 0,
+        static_cast<std::uint8_t>(1 + rng.below(6)));
+    const bool inbound = rng.chance(0.5);
+    r.src_ip = inbound ? remote : vip;
+    r.dst_ip = inbound ? vip : remote;
+    if (rng.chance(0.05)) r.dst_ip = r.src_ip;  // unclassifiable
+    r.src_port = rng.chance(0.2) ? std::uint16_t{53}
+                                 : static_cast<std::uint16_t>(1 + rng.below(4000));
+    r.dst_port = kPorts[rng.below(8)];
+    r.protocol = kProtocols[rng.below(4)];
+    if (r.protocol == Protocol::kTcp) r.tcp_flags = kFlags[rng.below(5)];
+    r.packets = static_cast<std::uint32_t>(1 + rng.below(5));
+    r.bytes = r.packets * (40 + rng.below(1400));
+  }
+  return out;
+}
+
+/// The reference aggregation, written from the definitions rather than the
+/// engine: stable sort by (vip, direction, minute, remote) — ties keep
+/// arrival order — then a record-by-record fold into windows.
+struct NaiveTrace {
+  std::vector<FlowRecord> records;
+  std::vector<Direction> directions;
+  std::vector<VipMinuteStats> windows;
+  std::uint64_t unclassified = 0;
+};
+
+NaiveTrace naive_aggregate(const std::vector<FlowRecord>& input,
+                           const PrefixSet& space, const PrefixSet& tds) {
+  NaiveTrace out;
+  std::vector<OrientedFlow> kept;
+  for (const FlowRecord& r : input) {
+    if (const auto dir = classify(r, space)) {
+      kept.push_back(OrientedFlow{&r, *dir});
+    } else {
+      ++out.unclassified;
+    }
+  }
+  const auto key = [](const OrientedFlow& f) {
+    return std::make_tuple(f.vip().value(), static_cast<int>(f.direction),
+                           f.record->minute, f.remote_ip().value());
+  };
+  std::stable_sort(kept.begin(), kept.end(),
+                   [&](const OrientedFlow& a, const OrientedFlow& b) {
+                     return key(a) < key(b);
+                   });
+  std::set<std::uint32_t> remotes, smtp, admin, listed;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const OrientedFlow& f = kept[i];
+    const FlowRecord& r = *f.record;
+    out.records.push_back(r);
+    out.directions.push_back(f.direction);
+    if (i == 0 || kept[i - 1].vip() != f.vip() ||
+        kept[i - 1].direction != f.direction ||
+        kept[i - 1].record->minute != r.minute) {
+      VipMinuteStats& w = out.windows.emplace_back();
+      w.vip = f.vip();
+      w.minute = r.minute;
+      w.direction = f.direction;
+      w.first_record = static_cast<std::uint32_t>(i);
+      remotes.clear();
+      smtp.clear();
+      admin.clear();
+      listed.clear();
+    }
+    VipMinuteStats& w = out.windows.back();
+    w.last_record = static_cast<std::uint32_t>(i + 1);
+    w.packets += r.packets;
+    w.bytes += r.bytes;
+    w.flows += 1;
+    const std::uint32_t remote = f.remote_ip().value();
+    remotes.insert(remote);
+    w.unique_remote_ips = static_cast<std::uint32_t>(remotes.size());
+    const bool tcp = r.protocol == Protocol::kTcp;
+    if (tcp) {
+      w.tcp_packets += r.packets;
+      if (is_pure_syn(r.tcp_flags)) w.syn_packets += r.packets;
+      if (is_null_scan(r.tcp_flags)) w.null_scan_packets += r.packets;
+      if (is_xmas_scan(r.tcp_flags)) w.xmas_scan_packets += r.packets;
+      if (is_bare_rst(r.tcp_flags)) w.bare_rst_packets += r.packets;
+    }
+    if (r.protocol == Protocol::kUdp) {
+      w.udp_packets += r.packets;
+      if (r.src_port == ports::kDns) w.dns_response_packets += r.packets;
+    }
+    if (r.protocol == Protocol::kIcmp) w.icmp_packets += r.packets;
+    if (r.protocol == Protocol::kIpEncap) w.ipencap_packets += r.packets;
+    if (tcp && r.dst_port == ports::kSmtp) {
+      w.smtp_flows += 1;
+      w.smtp_packets += r.packets;
+      smtp.insert(remote);
+      w.unique_smtp_remotes = static_cast<std::uint32_t>(smtp.size());
+    }
+    if (tcp && ports::is_remote_admin(r.dst_port)) {
+      w.remote_admin_flows += 1;
+      w.admin_packets += r.packets;
+      admin.insert(remote);
+      w.unique_admin_remotes = static_cast<std::uint32_t>(admin.size());
+    }
+    if (tcp && ports::is_sql(r.dst_port)) {
+      w.sql_flows += 1;
+      w.sql_packets += r.packets;
+    }
+    if (tds.contains(f.remote_ip())) {
+      w.blacklist_flows += 1;
+      w.blacklist_packets += r.packets;
+      listed.insert(remote);
+      w.unique_blacklist_remotes = static_cast<std::uint32_t>(listed.size());
+    }
+  }
+  return out;
+}
+
+void expect_matches_naive(const NaiveTrace& want, const WindowedTrace& got) {
+  EXPECT_EQ(got.unclassified_records(), want.unclassified);
+  const auto records = got.records();
+  ASSERT_EQ(records.size(), want.records.size());
+  std::size_t i = 0;
+  for (auto it = records.begin(); it != records.end(); ++it, ++i) {
+    ASSERT_EQ(*it, want.records[i]) << "record " << i;
+    ASSERT_EQ(it.direction(), want.directions[i]) << "direction " << i;
+  }
+  ASSERT_EQ(got.windows().size(), want.windows.size());
+  for (std::size_t w = 0; w < want.windows.size(); ++w) {
+    ASSERT_EQ(window_tuple(got.windows()[w]), window_tuple(want.windows[w]))
+        << "window " << w;
+  }
+}
+
+TEST(WindowShardMerge, MatchesNaiveCanonicalOrderOnEverySortBranch) {
+  const auto space = cloud_space();
+  const auto tds = blacklist();
+  struct Branch {
+    const char* name;
+    std::uint32_t vips;
+    std::function<util::Minute(util::Rng&)> minute;
+  };
+  const util::Minute packed_limit = util::Minute{1} << 26;
+  const util::Minute sign_limit = util::Minute{1} << 31;
+  const Branch branches[] = {
+      // <= 32 VIPs per shard, small minutes: the ranked u32 key.
+      {"ranked u32", 5,
+       [](util::Rng& rng) { return static_cast<util::Minute>(rng.below(12)); }},
+      // More than 32 VIPs, minutes at and past 2^26: the u64 key.
+      {"u64", 300,
+       [&](util::Rng& rng) {
+         return packed_limit - 4 + static_cast<util::Minute>(rng.below(8));
+       }},
+      // Negative minutes and minutes at and past 2^31: the SortKey fallback.
+      {"SortKey", 40,
+       [&](util::Rng& rng) {
+         const auto m = static_cast<util::Minute>(rng.below(6));
+         return rng.chance(0.5) ? m - 3 : sign_limit - 2 + m;
+       }},
+  };
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("dm_shard_merge_" + std::to_string(::getpid()));
+  util::Rng rng(31337);
+  for (const Branch& branch : branches) {
+    SCOPED_TRACE(branch.name);
+    const std::vector<FlowRecord> input =
+        branch_records(rng, 150'000, branch.vips, branch.minute);
+    const NaiveTrace want = naive_aggregate(input, space, tds);
+    ASSERT_FALSE(want.windows.empty());
+    for (unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      exec::ThreadPool pool(threads);
+      expect_matches_naive(want,
+                           aggregate_windows(input, space, &tds, &pool));
+      // Both knobs floor at the 1 MiB seal minimum; the input encodes to
+      // more than that, so the spilled run seals segments to disk.
+      SpillConfig spill;
+      spill.directory = dir.string();
+      spill.ram_budget_bytes = 1;
+      spill.segment_bytes = 1;
+      {
+        SCOPED_TRACE("spilled");
+        const WindowedTrace spilled =
+            aggregate_windows(input, space, &tds, &pool, &spill);
+        EXPECT_TRUE(spilled.store().spilled());
+        expect_matches_naive(want, spilled);
+      }
+      std::filesystem::remove_all(dir);
+    }
   }
 }
 

@@ -15,14 +15,15 @@
 # Usage: tools/bench_gate.sh [tolerance]
 #   BENCH_BUILD_DIR   Release build dir (default: build-bench, shared with
 #                     bench_json.sh)
-#   DM_BENCH_GATE_FILTER  override the benchmark filter regex
+#   DM_BENCH_GATE_FILTER  override the benchmark filter regex; each of its
+#                     top-level |-alternatives must select at least one row
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BENCH_BUILD_DIR:-$ROOT/build-bench}"
 SNAPSHOT="$ROOT/BENCH_pipeline.json"
 TOLERANCE="${1:-${DM_BENCH_TOLERANCE:-0.70}}"
-FILTER="${DM_BENCH_GATE_FILTER:-BM_VarintDecode|BM_BlockDecode|BM_FusedGenerateWindows/threads:1$|BM_DetectMinutes/threads:1$}"
+FILTER="${DM_BENCH_GATE_FILTER:-BM_VarintDecode|BM_BlockDecode|BM_FusedGenerateWindows/threads:1/real_time$|BM_DetectMinutes/threads:1/real_time$}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -43,18 +44,43 @@ echo "== bench_gate: filter=$FILTER tolerance=$TOLERANCE"
   --benchmark_out="$TMP/gate.json" \
   --benchmark_out_format=json > /dev/null
 
-python3 - "$TMP/gate.json" "$SNAPSHOT" "$TOLERANCE" <<'PY'
+python3 - "$TMP/gate.json" "$SNAPSHOT" "$TOLERANCE" "$FILTER" <<'PY'
 import json
 import re
 import sys
 
-measured_path, snapshot_path, tol_s = sys.argv[1:4]
+measured_path, snapshot_path, tol_s, filter_re = sys.argv[1:5]
 tolerance = float(tol_s)
 with open(measured_path) as f:
     measured = json.load(f)
 with open(snapshot_path) as f:
     snapshot = json.load(f)
 stages = snapshot.get("stages", {})
+
+# Every top-level |-alternative of the filter must select at least one row:
+# an alternative that drifts off the real row names (e.g. an anchor that
+# misses a /real_time suffix) would otherwise drop its rows from the gate
+# without a word.
+alternatives, depth, start, i = [], 0, 0, 0
+while i < len(filter_re):
+    ch = filter_re[i]
+    if ch == "\\":
+        i += 2  # an escaped character never opens a group or splits
+        continue
+    if ch in "([":
+        depth += 1
+    elif ch in ")]":
+        depth -= 1
+    elif ch == "|" and depth == 0:
+        alternatives.append(filter_re[start:i])
+        start = i + 1
+    i += 1
+alternatives.append(filter_re[start:])
+names = [b["name"] for b in measured.get("benchmarks", [])]
+unmatched = [a for a in alternatives if not any(re.search(a, n) for n in names)]
+if unmatched:
+    sys.exit("bench_gate.sh: filter alternative(s) selected no rows: " +
+             ", ".join(unmatched))
 
 failures, checked, skipped = [], 0, []
 for b in measured.get("benchmarks", []):
