@@ -155,10 +155,10 @@ void StreamMonitor::close_minute(util::Minute minute) {
   auto node = open_minutes_.extract(minute);
   if (node.empty()) return;
   // One minute's records aggregate into windows sorted by (vip, direction)
-  // — SeriesKey order — exactly as the batch window builder emits them.
-  const netflow::ShardWindows closed =
-      netflow::aggregate_shard(std::move(node.mapped()), cloud_space_, blacklist_);
-  for (const VipMinuteStats& window : closed.windows) {
+  // — SeriesKey order — by the batch core, minus the columnar encode.
+  const std::vector<VipMinuteStats> windows = netflow::aggregate_shard_windows(
+      std::move(node.mapped()), cloud_space_, blacklist_);
+  for (const VipMinuteStats& window : windows) {
     feed_window(window);
     ++windows_closed_;
   }
@@ -233,6 +233,11 @@ void StreamMonitor::feed_detection(const MinuteDetection& d) {
 }
 
 void StreamMonitor::expire_incidents(util::Minute now) {
+  // Exact gating: a detection can only join an incident by closing a
+  // minute below the commit point, and every such minute closed before the
+  // last sweep, so a `now` at or below it splits nothing a sweep did not.
+  if (now <= expired_at_) return;
+  expired_at_ = now;
   for (auto it = open_incidents_.begin(); it != open_incidents_.end();) {
     if (splits_incident(it->second.back(), now, timeouts_)) {
       emit_incident(it->second);
@@ -600,6 +605,7 @@ void StreamMonitor::restore(std::istream& in) {
   seen_ = std::move(seen);
   watermark_ = watermark;
   max_seen_ = max_seen;
+  expired_at_ = kNeverExpired;
   records_ingested_ = ingested;
   records_late_ = late;
   records_unclassifiable_ = unclassifiable;

@@ -5,11 +5,13 @@
 // a minute" (§3.2) — i.e. the approach is deployable online. StreamMonitor
 // is that deployment shape over the batch engine's own core: accepted
 // records are buffered per open minute, a minute closes by handing its
-// buffer to netflow::aggregate_shard (the batch window builder), per-series
-// detectors run incrementally over the resulting windows, and each open
-// incident keeps its member detections so it is finalized by the same
-// split rule and finalize_incident that build_incidents uses. Completed
-// incidents are delivered through callbacks.
+// buffer to netflow::aggregate_shard_windows (the batch shard core's sort
+// and window builder, without the columnar encode nothing here reads),
+// per-series detectors run incrementally over the resulting windows, and
+// each open incident keeps its member detections so it is finalized by the
+// same split rule and finalize_incident that build_incidents uses. Open
+// incidents are swept for timeouts once per advance of the commit point,
+// not once per record. Completed incidents are delivered through callbacks.
 //
 // Degraded-feed contract: records may arrive in any order within
 // StreamConfig::reorder_lag minutes of the newest minute seen — a window
@@ -26,6 +28,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <unordered_set>
@@ -225,6 +228,11 @@ class StreamMonitor {
       open_incidents_;
   util::Minute watermark_ = -1;  ///< all minutes <= watermark are closed
   util::Minute max_seen_ = -1;   ///< newest minute ingested or advanced to
+  static constexpr util::Minute kNeverExpired =
+      std::numeric_limits<util::Minute>::min();
+  /// The largest `now` expire_incidents has swept at. Derived state: not
+  /// checkpointed, reset by restore() so the first sweep after it runs.
+  util::Minute expired_at_ = kNeverExpired;
   /// Declared collector outages [from, to), sorted and non-overlapping.
   std::vector<std::pair<util::Minute, util::Minute>> outages_;
   /// Per-open-minute hashes of ingested records (duplicate suppression).

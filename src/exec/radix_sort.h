@@ -2,8 +2,8 @@
 //
 // The canonical record order leads with densely packed integer fields
 // (VIP, direction, minute, remote, arrival index), so the hot sorts in the
-// pipeline are keyed by 64- or 128-bit unsigned integers. An LSD radix sort
-// over 8-bit digits beats the comparison sort on those keys by a wide
+// pipeline are keyed by 32-, 64- or 128-bit unsigned integers. An LSD radix
+// sort over 8-bit digits beats the comparison sort on those keys by a wide
 // margin and — because every counting pass is stable — preserves the input
 // order of equal keys, which is what the arrival-index tie-break and the
 // shard merges rely on.
@@ -60,6 +60,12 @@ template <typename K>
 inline constexpr std::size_t radix_words_v =
     std::is_same_v<K, Key128> ? 2 : 1;
 
+/// Bytes of one key word that carry key bits: 8 per Key128 word, the
+/// key's own width for a plain unsigned key.
+template <typename K>
+inline constexpr std::size_t radix_word_bytes_v =
+    std::is_same_v<K, Key128> ? 8 : sizeof(K);
+
 /// w-th 64-bit word of the key, least significant first.
 [[nodiscard]] inline std::uint64_t radix_word(const Key128& k,
                                               std::size_t w) noexcept {
@@ -83,7 +89,9 @@ template <typename T, typename KeyFn>
 void radix_sort(std::vector<T>& items, KeyFn&& key) {
   using K = std::decay_t<decltype(key(items[0]))>;
   constexpr std::size_t kWords = detail::radix_words_v<K>;
-  constexpr std::size_t kDigits = kWords * 8;
+  constexpr std::size_t kWordBytes = detail::radix_word_bytes_v<K>;
+  // One 8-bit digit per key byte: sizeof(K) digits, 16 for Key128.
+  constexpr std::size_t kDigits = kWords * kWordBytes;
   const std::size_t n = items.size();
   if (n < 2) return;
   // Bucket counters are 32-bit; the pipeline's record-index space shares
@@ -103,13 +111,12 @@ void radix_sort(std::vector<T>& items, KeyFn&& key) {
   for (const T& item : items) keys.push_back(key(item));
 
   // One pre-pass builds the histograms of every digit position at once.
-  std::vector<std::array<std::uint32_t, 256>> counts(kDigits);
-  for (auto& c : counts) c.fill(0);
+  std::array<std::array<std::uint32_t, 256>, kDigits> counts{};
   for (const K& k : keys) {
     for (std::size_t w = 0; w < kWords; ++w) {
       const std::uint64_t word = detail::radix_word(k, w);
-      for (std::size_t b = 0; b < 8; ++b) {
-        ++counts[w * 8 + b][(word >> (b * 8)) & 0xff];
+      for (std::size_t b = 0; b < kWordBytes; ++b) {
+        ++counts[w * kWordBytes + b][(word >> (b * 8)) & 0xff];
       }
     }
   }
@@ -123,8 +130,8 @@ void radix_sort(std::vector<T>& items, KeyFn&& key) {
 
   for (std::size_t d = 0; d < kDigits; ++d) {
     auto& count = counts[d];
-    const std::size_t word = d / 8;
-    const std::size_t shift = (d % 8) * 8;
+    const std::size_t word = d / kWordBytes;
+    const std::size_t shift = (d % kWordBytes) * 8;
     // A digit all items share sorts nothing — skip the pass.
     if (std::any_of(count.begin(), count.end(),
                     [n](std::uint32_t c) { return c == n; })) {

@@ -140,155 +140,125 @@ SortKey key_of(const FlowRecord& r, Direction dir, std::size_t index) noexcept {
           static_cast<std::uint64_t>(index)};
 }
 
-/// Single-pass window builder over a just-encoded canonical slice,
-/// consuming SoA decode blocks (DecodedBlock) instead of one record at a
-/// time. A window boundary can only occur at a run start — runs have
-/// constant (vip, direction, minute) by construction — so the boundary
-/// check runs once per run, flagged by the block's run_mask, not once per
-/// record. Remote IPs arrive sorted within a window, so distinct counts
-/// fall out of adjacent comparisons exactly as in the record-wise builder
-/// this replaces (the Cursor-based reference in the differential tests).
-/// `index_base` rebases first/last_record into the caller's global index
-/// space; the view's own records always start at a window boundary.
-std::vector<VipMinuteStats> build_windows_blocks(const ColumnarView& view,
-                                                 const PrefixSet* blacklist,
-                                                 std::size_t index_base) {
-  std::vector<VipMinuteStats> windows;
-  // Every window starts at a run boundary, and nearly every run opens a
-  // window (adjacent equal-key runs only arise from mid-run shard cuts), so
-  // the run count is a tight capacity bound — reserving it avoids doubling
-  // reallocs of a vector of ~184-byte structs.
-  windows.reserve(view.runs);
-  VipMinuteStats* current = nullptr;
-  std::uint32_t last_remote = 0, last_admin_remote = 0, last_smtp_remote = 0,
-                last_blacklist_remote = 0;
-  bool any_remote = false, any_admin = false, any_smtp = false,
-       any_blacklist = false;
-  // Blacklist membership is a pure function of the remote IP, and remotes
-  // repeat in adjacent records (sorted within a window) — memoize the walk.
-  MembershipMemo blacklisted(blacklist);
+/// Single-pass window builder: folds records, fed in canonical order, into
+/// one VipMinuteStats per (vip, direction, minute). Remote IPs arrive
+/// sorted within a window, so distinct counts fall out of adjacent
+/// comparisons. `index` is the record's position in the shard's canonical
+/// order — the window's first/last_record range.
+class WindowBuilder {
+ public:
+  WindowBuilder(const PrefixSet* blacklist, std::size_t capacity)
+      : blacklist_(blacklist), blacklisted_(blacklist) {
+    windows_.reserve(capacity);
+  }
 
-  ColumnarRecords::BlockCursor cursor;
-  cursor.reset(view, view.records);
-  DecodedBlock block;
-  while (cursor.next(block)) {
-    std::size_t i = 0;
-    while (i < block.count) {
-      // The block decomposes into run segments — maximal stretches with no
-      // run start strictly after their first record. (vip, direction,
-      // minute) are constant per run, so the window-boundary test runs once
-      // per segment and last_record advances once per segment, not once per
-      // record.
-      const std::uint64_t later_starts =
-          i + 1 < 64 ? block.run_mask & ~((std::uint64_t{2} << i) - 1) : 0;
-      const std::size_t seg_end =
-          later_starts != 0
-              ? static_cast<std::size_t>(std::countr_zero(later_starts))
-              : block.count;
-      if (((block.run_mask >> i) & 1) != 0 &&
-          (current == nullptr || current->vip.value() != block.vip[i] ||
-           current->direction != static_cast<Direction>(block.direction[i]) ||
-           current->minute != block.minute[i])) {
-        // Construct in place: a stack temp would zero-init and then copy
-        // all ~184 bytes a second time on push_back.
-        current = &windows.emplace_back();
-        current->vip = IPv4(block.vip[i]);
-        current->minute = block.minute[i];
-        current->direction = static_cast<Direction>(block.direction[i]);
-        current->first_record =
-            static_cast<std::uint32_t>(index_base + block.base_index + i);
-        current->last_record = current->first_record;
-        any_remote = any_admin = any_smtp = any_blacklist = false;
+  void add(const FlowRecord& r, Direction direction, std::uint32_t vip,
+           std::uint32_t remote, std::uint32_t index) {
+    if (current_ == nullptr || current_->vip.value() != vip ||
+        current_->direction != direction || current_->minute != r.minute) {
+      // Construct in place: a stack temp would zero-init and then copy all
+      // ~184 bytes a second time on push_back.
+      current_ = &windows_.emplace_back();
+      current_->vip = IPv4(vip);
+      current_->minute = r.minute;
+      current_->direction = direction;
+      current_->first_record = index;
+      any_remote_ = any_admin_ = any_smtp_ = any_blacklist_ = false;
+    }
+    VipMinuteStats& w = *current_;
+    w.last_record = index + 1;
+    const std::uint32_t packets = r.packets;
+    w.packets += packets;
+    w.bytes += r.bytes;
+    w.flows += 1;
+
+    switch (r.protocol) {
+      case Protocol::kTcp:
+        w.tcp_packets += packets;
+        if (is_pure_syn(r.tcp_flags)) w.syn_packets += packets;
+        if (is_null_scan(r.tcp_flags)) w.null_scan_packets += packets;
+        if (is_xmas_scan(r.tcp_flags)) w.xmas_scan_packets += packets;
+        if (is_bare_rst(r.tcp_flags)) w.bare_rst_packets += packets;
+        break;
+      case Protocol::kUdp:
+        w.udp_packets += packets;
+        // A DNS response travels *from* the resolver's port 53; for inbound
+        // reflection that is the remote side, for the outbound case the VIP.
+        if (r.src_port == ports::kDns) w.dns_response_packets += packets;
+        break;
+      case Protocol::kIcmp:
+        w.icmp_packets += packets;
+        break;
+      case Protocol::kIpEncap:
+        w.ipencap_packets += packets;
+        break;
+    }
+
+    if (!any_remote_ || remote != last_remote_) {
+      w.unique_remote_ips += 1;
+      last_remote_ = remote;
+      any_remote_ = true;
+    }
+
+    // The port identifying the targeted application is the wire
+    // destination port regardless of direction (OrientedFlow::service_port).
+    if (r.protocol == Protocol::kTcp) {
+      const std::uint16_t service_port = r.dst_port;
+      if (service_port == ports::kSmtp) {
+        w.smtp_flows += 1;
+        w.smtp_packets += packets;
+        if (!any_smtp_ || remote != last_smtp_remote_) {
+          w.unique_smtp_remotes += 1;
+          last_smtp_remote_ = remote;
+          any_smtp_ = true;
+        }
       }
-      current->last_record =
-          static_cast<std::uint32_t>(index_base + block.base_index + seg_end);
+      if (ports::is_remote_admin(service_port)) {
+        w.remote_admin_flows += 1;
+        w.admin_packets += packets;
+        if (!any_admin_ || remote != last_admin_remote_) {
+          w.unique_admin_remotes += 1;
+          last_admin_remote_ = remote;
+          any_admin_ = true;
+        }
+      }
+      if (ports::is_sql(service_port)) {
+        w.sql_flows += 1;
+        w.sql_packets += packets;
+      }
+    }
 
-      for (; i < seg_end; ++i) {
-        const std::uint32_t packets = block.packets[i];
-        current->packets += packets;
-        current->bytes += block.bytes[i];
-        current->flows += 1;
-
-        const auto protocol = static_cast<Protocol>(block.protocol[i]);
-        switch (protocol) {
-          case Protocol::kTcp: {
-            current->tcp_packets += packets;
-            const auto flags = static_cast<TcpFlags>(block.tcp_flags[i]);
-            if (is_pure_syn(flags)) current->syn_packets += packets;
-            if (is_null_scan(flags)) current->null_scan_packets += packets;
-            if (is_xmas_scan(flags)) current->xmas_scan_packets += packets;
-            if (is_bare_rst(flags)) current->bare_rst_packets += packets;
-            break;
-          }
-          case Protocol::kUdp:
-            current->udp_packets += packets;
-            // A DNS response travels *from* the resolver's port 53; for
-            // inbound reflection that is the remote side, for the outbound
-            // case the VIP.
-            if (block.src_port[i] == ports::kDns) {
-              current->dns_response_packets += packets;
-            }
-            break;
-          case Protocol::kIcmp:
-            current->icmp_packets += packets;
-            break;
-          case Protocol::kIpEncap:
-            current->ipencap_packets += packets;
-            break;
-        }
-
-        const std::uint32_t remote = block.remote[i];
-        if (!any_remote || remote != last_remote) {
-          current->unique_remote_ips += 1;
-          last_remote = remote;
-          any_remote = true;
-        }
-
-        // The port identifying the targeted application is the wire
-        // destination port regardless of direction (OrientedFlow::service_port).
-        const std::uint16_t service_port = block.dst_port[i];
-        if (protocol == Protocol::kTcp && service_port == ports::kSmtp) {
-          current->smtp_flows += 1;
-          current->smtp_packets += packets;
-          if (!any_smtp || remote != last_smtp_remote) {
-            current->unique_smtp_remotes += 1;
-            last_smtp_remote = remote;
-            any_smtp = true;
-          }
-        }
-        if (protocol == Protocol::kTcp && ports::is_remote_admin(service_port)) {
-          current->remote_admin_flows += 1;
-          current->admin_packets += packets;
-          if (!any_admin || remote != last_admin_remote) {
-            current->unique_admin_remotes += 1;
-            last_admin_remote = remote;
-            any_admin = true;
-          }
-        }
-        if (protocol == Protocol::kTcp && ports::is_sql(service_port)) {
-          current->sql_flows += 1;
-          current->sql_packets += packets;
-        }
-
-        if (blacklist != nullptr && blacklisted.contains(IPv4(remote))) {
-          current->blacklist_flows += 1;
-          current->blacklist_packets += packets;
-          if (!any_blacklist || remote != last_blacklist_remote) {
-            current->unique_blacklist_remotes += 1;
-            last_blacklist_remote = remote;
-            any_blacklist = true;
-          }
-        }
+    if (blacklist_ != nullptr && blacklisted_.contains(IPv4(remote))) {
+      w.blacklist_flows += 1;
+      w.blacklist_packets += packets;
+      if (!any_blacklist_ || remote != last_blacklist_remote_) {
+        w.unique_blacklist_remotes += 1;
+        last_blacklist_remote_ = remote;
+        any_blacklist_ = true;
       }
     }
   }
 
-  return windows;
-}
+  [[nodiscard]] std::vector<VipMinuteStats> take() && {
+    return std::move(windows_);
+  }
 
-/// Gather distance for the permuted read in the encode loop: far enough to
-/// cover DRAM latency at ~1 record decoded per few ns, near enough to stay
-/// inside the already-sorted locality window.
+ private:
+  std::vector<VipMinuteStats> windows_;
+  VipMinuteStats* current_ = nullptr;
+  const PrefixSet* blacklist_;
+  // Blacklist membership is a pure function of the remote IP, and remotes
+  // repeat in adjacent records (sorted within a window) — memoize the walk.
+  MembershipMemo blacklisted_;
+  std::uint32_t last_remote_ = 0, last_admin_remote_ = 0,
+                last_smtp_remote_ = 0, last_blacklist_remote_ = 0;
+  bool any_remote_ = false, any_admin_ = false, any_smtp_ = false,
+       any_blacklist_ = false;
+};
+
+/// Gather distance for the permuted read in the build loop: far enough to
+/// cover DRAM latency at a few ns per record, near enough to stay inside
+/// the already-sorted locality window.
 constexpr std::size_t kGatherPrefetch = 8;
 
 /// VIP samples drawn per target shard when aggregate_windows cuts the
@@ -410,18 +380,25 @@ WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
       spill, n);
 }
 
-ShardWindows aggregate_shard(std::vector<FlowRecord> records,
-                             const PrefixSet& cloud_space,
-                             const PrefixSet* blacklist) {
+namespace {
+
+/// The shard core behind aggregate_shard and aggregate_shard_windows:
+/// classify+compact, canonical sort, and one gather pass through the sort
+/// permutation that folds each record into its window and, when `encode`
+/// is set, appends it to the shard's columnar slice.
+ShardWindows shard_core(std::vector<FlowRecord> records,
+                        const PrefixSet& cloud_space,
+                        const PrefixSet* blacklist, bool encode) {
   ShardWindows out;
 
   // Classify, compact, and build the packed sort words in one serial pass;
   // compaction is stable, so kept records retain arrival order — the
   // tie-break the canonical sort uses. The per-side memos skip redundant
   // prefix walks across episode bursts. Fusing the key build here saves a
-  // second full sweep over the record array; the speculative hi/remote
-  // words are simply abandoned if a record turns out not packable (the
-  // SortKey fallback below rebuilds from records — identical ordering).
+  // second full sweep over the record array. The hi word's minute bits are
+  // speculative — abandoned if a record turns out not packable (the SortKey
+  // fallback below rebuilds from records, identical ordering) — but its VIP
+  // half and the remote word are exact, and the window build reads both.
   constexpr std::size_t kMaxRankedVips = 32;
   constexpr util::Minute kMaxPackedMinute = util::Minute{1} << 26;
   bool packable = true;
@@ -433,7 +410,12 @@ ShardWindows aggregate_shard(std::vector<FlowRecord> records,
   std::uint32_t vips[kMaxRankedVips];
   std::size_t vip_count = 0;
   std::uint32_t last_vip = 0;
+  Direction last_dir = Direction::kInbound;
+  util::Minute last_minute = 0;
   util::Minute max_minute = 0;
+  // Arrival-order runs of equal (vip, direction, minute): every window's
+  // key starts at least one, so their count bounds the window count.
+  std::size_t arrival_runs = 0;
   MembershipMemo src_cloud(&cloud_space);
   MembershipMemo dst_cloud(&cloud_space);
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -456,6 +438,12 @@ ShardWindows aggregate_shard(std::vector<FlowRecord> records,
                    static_cast<std::uint32_t>(records[keep].minute));
     remote[keep] = f.remote_ip().value();
     max_minute = std::max(max_minute, records[keep].minute);
+    if (keep == 0 || vip != last_vip || *dir != last_dir ||
+        records[keep].minute != last_minute) {
+      ++arrival_runs;
+      last_dir = *dir;
+      last_minute = records[keep].minute;
+    }
     // Arrival order keeps each VIP constant for long stretches, so the
     // repeat check skips nearly every ranked-set probe.
     if (vip_count <= kMaxRankedVips && !(keep > 0 && vip == last_vip)) {
@@ -478,7 +466,7 @@ ShardWindows aggregate_shard(std::vector<FlowRecord> records,
   records.resize(keep);
 
   // Canonical sort, computed as a permutation only — the sorted
-  // array-of-structs copy is gone; the encode loop below reads through the
+  // array-of-structs copy is gone; the gather pass below reads through the
   // permutation. Generator minutes always fit 31 bits, so (vip, dir,
   // minute) packs into 64 bits, the remote into 32, and two stable LSD
   // radix passes — by remote, then by the packed high word — produce
@@ -537,30 +525,51 @@ ShardWindows aggregate_shard(std::vector<FlowRecord> records,
     }
   }
 
-  // Gather-encode through the permutation: the randomly ordered reads
-  // stream straight into the columnar encoder, software-prefetched a few
-  // records ahead to hide the permuted-access latency. Only the compressed
-  // form leaves the shard.
+  // One gather pass through the permutation, software-prefetched a few
+  // records ahead to hide the permuted-access latency: each record folds
+  // into its window straight from the vip and remote words the classify
+  // pass computed and, when encoding, streams into the columnar encoder.
+  WindowBuilder windows(blacklist, arrival_runs);
   for (std::size_t i = 0; i < keep; ++i) {
     if (i + kGatherPrefetch < keep) {
       exec::prefetch_read(&records[order[i + kGatherPrefetch]]);
     }
     const std::size_t src = order[i];
-    out.columns.push_back(records[src], directions[src]);
+    if (encode) out.columns.push_back(records[src], directions[src]);
+    windows.add(records[src], directions[src],
+                static_cast<std::uint32_t>(hi[src] >> 32), remote[src],
+                static_cast<std::uint32_t>(i));
   }
-  out.columns.shrink_to_fit();
-  // Free the arrival-order copies before the window build.
+  // Free the arrival-order arrays before trimming the outputs, so the trims'
+  // copies never coexist with them.
   records = std::vector<FlowRecord>();
   directions = std::vector<Direction>();
+  hi = std::vector<std::uint64_t>();
+  remote = std::vector<std::uint32_t>();
   order = std::vector<std::uint32_t>();
 
-  // Feature extraction consumes the shard's own encoded slice in SoA
-  // blocks — the decode kernel, not the raw arrays, is the hot path.
-  out.windows = build_windows_blocks(out.columns.view(), blacklist, 0);
-  // Shard outputs accumulate until the caller's merge; hold exact sizes,
-  // not push_back growth overshoot.
-  out.windows.shrink_to_fit();
+  out.windows = std::move(windows).take();
+  if (encode) {
+    // Shard outputs accumulate until the caller's merge; hold exact sizes,
+    // not reservation or growth overshoot.
+    out.columns.shrink_to_fit();
+    out.windows.shrink_to_fit();
+  }
   return out;
+}
+
+}  // namespace
+
+ShardWindows aggregate_shard(std::vector<FlowRecord> records,
+                             const PrefixSet& cloud_space,
+                             const PrefixSet* blacklist) {
+  return shard_core(std::move(records), cloud_space, blacklist, true);
+}
+
+std::vector<VipMinuteStats> aggregate_shard_windows(
+    std::vector<FlowRecord> records, const PrefixSet& cloud_space,
+    const PrefixSet* blacklist) {
+  return shard_core(std::move(records), cloud_space, blacklist, false).windows;
 }
 
 std::size_t shard_count_for(const exec::ThreadPool* pool,

@@ -161,18 +161,28 @@ struct ShardWindows {
   std::uint64_t unclassified = 0;
 };
 
-/// The aggregation core, run once per shard by aggregate_windows, the fused
-/// generate→aggregate path (sim::generate_windows), and
-/// detect::StreamMonitor's minute close: classify+compact, canonical sort
-/// (LSD radix over packed keys when every minute fits 31 bits — always
-/// true for generator output — comparison sort otherwise), and single-pass
-/// window build, all serial: the shard itself is the unit of parallelism.
+/// The aggregation core, run once per shard by aggregate_windows and the
+/// fused generate→aggregate path (sim::generate_windows): classify+compact,
+/// canonical sort (LSD radix over packed keys when every minute fits 31
+/// bits — always true for generator output — comparison sort otherwise),
+/// then one gather pass through the sort permutation that appends each
+/// kept record to the columnar slice and folds it into its window in the
+/// same step, all serial: the shard itself is the unit of parallelism.
 /// When shards hold contiguous, disjoint ranges of the VIP address space,
 /// concatenating their slices in address order yields the global canonical
 /// order.
 [[nodiscard]] ShardWindows aggregate_shard(std::vector<FlowRecord> records,
                                            const PrefixSet& cloud_space,
                                            const PrefixSet* blacklist = nullptr);
+
+/// aggregate_shard without the columnar slice: the same classify, sort and
+/// window build, returning only the windows (first/last_record index the
+/// records' canonical order, exactly as aggregate_shard's do). For
+/// detect::StreamMonitor's minute close, which feeds the windows to its
+/// detectors and never reads the records back.
+[[nodiscard]] std::vector<VipMinuteStats> aggregate_shard_windows(
+    std::vector<FlowRecord> records, const PrefixSet& cloud_space,
+    const PrefixSet* blacklist = nullptr);
 
 /// How many shards a sharded aggregation aims for on `pool`: 64 per worker
 /// (64 when serial), 256 per worker when `spill` is enabled, where shards

@@ -223,6 +223,82 @@ TEST(StreamCheckpoint, ResumesFromBufferedMinuteInsideOpenIncident) {
   EXPECT_EQ(split_incidents[0].ramp_up_minutes, 1);
 }
 
+TEST(StreamCheckpoint, RestoredMonitorSweepsExpiredIncidentAtTheSameRecord) {
+  // A SYN flood on one VIP over minutes 100..104, then quiet records on
+  // another VIP at minutes 105 and 106: the flood's last detection (minute
+  // 104) is in, and its 1-minute inactive timeout has not passed. The
+  // checkpoint lands there. One record at minute 107 then times the
+  // incident out — the monitor sweeps open incidents only when the commit
+  // point passes its last sweep, and that cached sweep minute is not
+  // checkpointed, so restore() must reset it: a resumed monitor, fresh or
+  // one that had already swept far ahead, must emit the incident at that
+  // same record, with the same bytes, as the uninterrupted one.
+  const netflow::IPv4 vip = netflow::IPv4::from_octets(100, 64, 0, 7);
+  const auto record_at = [](util::Minute m, netflow::IPv4 dst,
+                            std::uint32_t s, std::uint32_t packets) {
+    FlowRecord r;
+    r.minute = m;
+    r.src_ip = netflow::IPv4(0x04000000u + s);
+    r.dst_ip = dst;
+    r.src_port = static_cast<std::uint16_t>(20'000 + s);
+    r.dst_port = 80;
+    r.protocol = netflow::Protocol::kTcp;
+    r.tcp_flags = netflow::TcpFlags::kSyn;
+    r.packets = packets;
+    r.bytes = 40ull * packets;
+    return r;
+  };
+  std::vector<FlowRecord> feed;
+  for (util::Minute m = 100; m < 105; ++m) {
+    for (std::uint32_t s = 0; s < 50; ++s) feed.push_back(record_at(m, vip, s, 20));
+  }
+  const netflow::IPv4 quiet = netflow::IPv4::from_octets(100, 64, 0, 9);
+  feed.push_back(record_at(105, quiet, 0, 1));
+  feed.push_back(record_at(106, quiet, 0, 1));
+  const std::size_t cut = feed.size();
+  ASSERT_EQ(TimeoutTable::paper().of(sim::AttackType::kSynFlood), 1);
+  feed.push_back(record_at(107, quiet, 0, 1));  // 104 + timeout + 2
+
+  // Each monitor logs the index of the record whose ingest emitted each
+  // incident; `at` is the record being ingested.
+  std::size_t at = 0;
+  using Emitted = std::pair<std::size_t, IncidentKey>;
+  const auto logging = [&at](std::vector<Emitted>* log) {
+    return StreamMonitor(
+        sim_cloud_space(), nullptr, DetectionConfig{}, TimeoutTable::paper(),
+        nullptr, [log, &at](const AttackIncident& inc) {
+          log->emplace_back(at, key_of(inc));
+        });
+  };
+
+  std::vector<Emitted> ref_log;
+  StreamMonitor reference = logging(&ref_log);
+  for (at = 0; at < cut; ++at) reference.ingest(feed[at]);
+  ASSERT_EQ(reference.alerts(), 5u) << "minutes 100..104 must be flagged";
+  ASSERT_TRUE(ref_log.empty()) << "the incident must still be open";
+  const std::string saved = checkpoint_bytes(reference);
+  reference.ingest(feed[cut]);
+  ASSERT_EQ(ref_log.size(), 1u) << "minute 107 must time the incident out";
+  EXPECT_EQ(ref_log[0].first, cut);
+
+  std::vector<Emitted> fresh_log;
+  StreamMonitor fresh = logging(&fresh_log);
+  // A monitor that already swept at minute 10'000 before the restore.
+  std::vector<Emitted> ahead_log;
+  StreamMonitor ahead = logging(&ahead_log);
+  ahead.ingest(record_at(10'000, quiet, 0, 1));
+  for (StreamMonitor* resumed : {&fresh, &ahead}) {
+    std::istringstream in(saved);
+    resumed->restore(in);
+    EXPECT_EQ(checkpoint_bytes(*resumed), saved);
+    at = cut;
+    resumed->ingest(feed[cut]);
+    EXPECT_EQ(checkpoint_bytes(*resumed), checkpoint_bytes(reference));
+  }
+  EXPECT_EQ(fresh_log, ref_log);
+  EXPECT_EQ(ahead_log, ref_log);
+}
+
 TEST(StreamCheckpoint, RestoreRejectsDamagedCheckpoints) {
   std::vector<AttackIncident> incidents;
   StreamMonitor monitor = make_monitor(&incidents);

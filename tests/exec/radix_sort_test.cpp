@@ -1,5 +1,5 @@
 // exec::radix_sort must be a stable sort equivalent to std::stable_sort
-// over the extracted key, for u64 and packed 128-bit keys alike — the
+// over the extracted key, for u16, u32, u64 and packed 128-bit keys — the
 // canonical record order's correctness rests on both properties.
 #include <gtest/gtest.h>
 
@@ -57,6 +57,48 @@ TEST(RadixSort, MatchesStableSortOnRandomU64Keys) {
   for (std::size_t n : {2u, 16u, 63u, 64u, 65u, 1000u, 4096u}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     expect_matches_stable_sort(random_items(n, 0, 7 * n + 1));
+  }
+}
+
+/// Narrow keys sort on their own sizeof(K) digits only. Half the keys
+/// share a low byte, so ordering and stability hinge on the top byte — the
+/// digit a key-width bug would skip or read from the wrong shift.
+template <typename K>
+void expect_narrow_keys_match_stable_sort(std::size_t n, std::uint64_t seed) {
+  struct Narrow {
+    K key;
+    std::uint32_t tag;
+  };
+  constexpr unsigned kTopShift = 8 * (sizeof(K) - 1);
+  util::Rng rng(seed);
+  std::vector<Narrow> items(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto low = static_cast<K>(rng.chance(0.5) ? 7 : rng());
+    const auto top = static_cast<K>(rng.below(256) << kTopShift);
+    items[i] = {static_cast<K>((low & static_cast<K>(~(K{0xff} << kTopShift))) | top),
+                static_cast<std::uint32_t>(i)};
+  }
+  auto expected = items;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Narrow& a, const Narrow& b) { return a.key < b.key; });
+  radix_sort(items, [](const Narrow& it) { return it.key; });
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(items[i].key, expected[i].key) << "index " << i;
+    ASSERT_EQ(items[i].tag, expected[i].tag) << "index " << i;
+  }
+}
+
+TEST(RadixSort, MatchesStableSortOnU32AndU16KeysWithVaryingTopByte) {
+  for (std::size_t n : {63u, 64u, 65u, 1000u, 4096u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    {
+      SCOPED_TRACE("u32");
+      expect_narrow_keys_match_stable_sort<std::uint32_t>(n, 3 * n + 1);
+    }
+    {
+      SCOPED_TRACE("u16");
+      expect_narrow_keys_match_stable_sort<std::uint16_t>(n, 5 * n + 2);
+    }
   }
 }
 

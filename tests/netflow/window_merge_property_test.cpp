@@ -358,6 +358,19 @@ TEST(WindowShardMerge, MatchesNaiveCanonicalOrderOnEverySortBranch) {
         branch_records(rng, 150'000, branch.vips, branch.minute);
     const NaiveTrace want = naive_aggregate(input, space, tds);
     ASSERT_FALSE(want.windows.empty());
+    {
+      // The windows-only close (no columnar encode) builds the very same
+      // windows, record ranges included, on every sort branch.
+      SCOPED_TRACE("windows-only shard");
+      const ShardWindows shard = aggregate_shard(input, space, &tds);
+      const std::vector<VipMinuteStats> windows =
+          aggregate_shard_windows(input, space, &tds);
+      ASSERT_EQ(windows.size(), shard.windows.size());
+      for (std::size_t w = 0; w < windows.size(); ++w) {
+        ASSERT_EQ(window_tuple(windows[w]), window_tuple(shard.windows[w]))
+            << "window " << w;
+      }
+    }
     for (unsigned threads : {1u, 2u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       exec::ThreadPool pool(threads);

@@ -4,8 +4,9 @@
 # unit tests, the sharded-aggregation property tests, and the
 # serial-equivalence integration tests — then build under ASan+UBSan and
 # run the memory-sensitive codec tests (the columnar record store does raw
-# varint pointer walks; ASan catches overreads TSan never would) and the
-# stream monitor's minute-buffer and checkpoint suites.
+# varint pointer walks; ASan catches overreads TSan never would), the
+# stream monitor's minute-buffer and checkpoint suites, and the radix
+# sort's histogram indexing.
 #
 # Stages (all builds use -Werror via DM_WERROR=ON):
 #   1. dmlint self-scan against the committed baseline (skip: DM_LINT=0)
@@ -29,7 +30,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
 FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort}"
-ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|TraceIo|Aggregate|WindowShardMerge|SegmentStore|StreamMonitor|StreamCheckpoint}"
+ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|TraceIo|Aggregate|WindowShardMerge|SegmentStore|StreamMonitor|StreamCheckpoint|RadixSort}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
 # the committed baseline (which is kept empty). The scan itself (not the
