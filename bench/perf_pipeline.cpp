@@ -5,6 +5,7 @@
 // column). Output is byte-identical across thread counts by construction,
 // so the rows measure the same work.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include "core/study.h"
 #include "detect/pipeline.h"
 #include "exec/thread_pool.h"
-#include "exhibit.h"
 #include "netflow/varint.h"
 #include "netflow/window_aggregator.h"
 #include "serve/supervisor.h"
@@ -26,6 +26,28 @@
 namespace {
 
 using namespace dm;
+
+/// Peak resident set size (high-water mark) of the process in MiB.
+/// getrusage-based, so it is monotone over the process lifetime: a row's
+/// value is the largest footprint of anything run so far, which is why the
+/// memory-sensitive benchmarks run in separate processes (see
+/// tools/bench_json.sh).
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  // Linux reports ru_maxrss in KiB.
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+/// Resident footprint of the columnar record store, normalized per kept
+/// record — the compression headline next to the 41 bytes/record the old
+/// array-of-structs storage (FlowRecord + Direction) cost.
+double encoded_bytes_per_record(const netflow::WindowedTrace& trace) {
+  const std::size_t n = trace.record_count();
+  if (n == 0) return 0.0;
+  return static_cast<double>(trace.store().encoded_bytes()) /
+         static_cast<double>(n);
+}
 
 sim::ScenarioConfig perf_config() {
   auto config = sim::ScenarioConfig::smoke();
@@ -195,9 +217,9 @@ void BM_FusedGenerateWindows(benchmark::State& state) {
     state.SetItemsProcessed(
         state.items_processed() +
         static_cast<std::int64_t>(fused.generated_records));
-    bytes_per_record = bench::encoded_bytes_per_record(fused.windowed);
+    bytes_per_record = encoded_bytes_per_record(fused.windowed);
   }
-  state.counters["peak_rss_mib"] = bench::peak_rss_mib();
+  state.counters["peak_rss_mib"] = peak_rss_mib();
   state.counters["encoded_bytes_per_record"] = bytes_per_record;
 }
 BENCHMARK(BM_FusedGenerateWindows)
@@ -253,6 +275,7 @@ void BM_ServeOverload(benchmark::State& state) {
   static const std::vector<netflow::FlowRecord> feed = [] {
     // Traces are canonical per-VIP order; the service consumes feed time.
     auto records = perf_trace().records;
+    // dmlint: total-order(stable_sort keeps the canonical trace order for records within one minute)
     std::stable_sort(records.begin(), records.end(),
                      [](const netflow::FlowRecord& a,
                         const netflow::FlowRecord& b) {
@@ -320,9 +343,9 @@ void BM_StudyEndToEnd(benchmark::State& state) {
     benchmark::DoNotOptimize(study.detection().incidents.data());
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(study.record_count()));
-    bytes_per_record = bench::encoded_bytes_per_record(study.trace());
+    bytes_per_record = encoded_bytes_per_record(study.trace());
   }
-  state.counters["peak_rss_mib"] = bench::peak_rss_mib();
+  state.counters["peak_rss_mib"] = peak_rss_mib();
   state.counters["encoded_bytes_per_record"] = bytes_per_record;
 }
 BENCHMARK(BM_StudyEndToEnd)
@@ -346,9 +369,9 @@ void BM_StudyPaperScale(benchmark::State& state) {
     benchmark::DoNotOptimize(study.detection().incidents.data());
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(study.record_count()));
-    bytes_per_record = bench::encoded_bytes_per_record(study.trace());
+    bytes_per_record = encoded_bytes_per_record(study.trace());
   }
-  state.counters["peak_rss_mib"] = bench::peak_rss_mib();
+  state.counters["peak_rss_mib"] = peak_rss_mib();
   state.counters["encoded_bytes_per_record"] = bytes_per_record;
 }
 BENCHMARK(BM_StudyPaperScale)
@@ -412,7 +435,7 @@ void BM_StudyLongitudinal(benchmark::State& state) {
     benchmark::DoNotOptimize(study.detection().incidents.data());
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(study.record_count()));
-    bytes_per_record = bench::encoded_bytes_per_record(study.trace());
+    bytes_per_record = encoded_bytes_per_record(study.trace());
     segments = static_cast<double>(
         study.trace().store().segments().segment_count());
     constexpr double kMiB = 1024.0 * 1024.0;
@@ -422,7 +445,7 @@ void BM_StudyLongitudinal(benchmark::State& state) {
                                       sizeof(netflow::VipMinuteStats)) /
                   kMiB;
   }
-  state.counters["peak_rss_mib"] = bench::peak_rss_mib();
+  state.counters["peak_rss_mib"] = peak_rss_mib();
   state.counters["store_mib"] = store_mib;
   state.counters["windows_mib"] = windows_mib;
   state.counters["encoded_bytes_per_record"] = bytes_per_record;

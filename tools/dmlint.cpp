@@ -1,6 +1,6 @@
 // dmlint — determinism & invariant linter CLI.
 //
-// Scans src/ and tools/ (or --root <dir>) with the dm::lint rules engine,
+// Scans src/, tools/ and bench/ (or --root <dir>) with the dm::lint rules engine,
 // subtracts the committed baseline, and exits nonzero on any new finding.
 //
 //   dmlint [--root DIR] [--baseline FILE] [--write-baseline FILE]
@@ -190,10 +190,10 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<dm::lint::SourceFile> files =
-      dm::lint::load_tree(opt.root, {"src", "tools"});
+      dm::lint::load_tree(opt.root, {"src", "tools", "bench"});
   if (files.empty()) {
     std::cerr << "dmlint: no sources found under '" << opt.root
-              << "' (expected src/ and tools/)\n";
+              << "' (expected src/, tools/ and bench/)\n";
     return 2;
   }
 

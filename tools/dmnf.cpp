@@ -22,6 +22,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "detect/stream.h"
 #include "serve/supervisor.h"
 #include "util/error.h"
+#include "util/parse.h"
 #include "netflow/csv.h"
 #include "netflow/segment_store.h"
 #include "netflow/trace_io.h"
@@ -110,20 +112,30 @@ netflow::PrefixSet cloud_space_from(const Args& args) {
   return space;
 }
 
-long long option_number(const Args& args, const std::string& name,
-                        long long fallback) {
+/// A malformed command line; main() answers it with the usage text.
+class UsageError : public dm::Error {
+ public:
+  explicit UsageError(const std::string& what) : dm::Error(what) {}
+};
+
+/// The value of numeric option `name` as a T, or `fallback` when absent.
+/// Anything but a plain non-negative decimal that fits T is a UsageError.
+template <class T>
+T option_number(const Args& args, const std::string& name, T fallback) {
   const auto it = args.options.find(name);
-  return it == args.options.end() ? fallback : std::atoll(it->second.c_str());
+  if (it == args.options.end()) return fallback;
+  const std::optional<T> value = util::parse_unsigned<T>(it->second);
+  if (!value) throw UsageError("bad " + name + " value '" + it->second + "'");
+  return *value;
 }
 
 int cmd_gen(const Args& args) {
   const auto out = args.options.find("--out");
   if (out == args.options.end()) return usage();
   sim::ScenarioConfig config = sim::ScenarioConfig::smoke();
-  config.vips.vip_count =
-      static_cast<std::uint32_t>(option_number(args, "--vips", 200));
-  config.days = static_cast<int>(option_number(args, "--days", 2));
-  config.seed = static_cast<std::uint64_t>(option_number(args, "--seed", 42));
+  config.vips.vip_count = option_number<std::uint32_t>(args, "--vips", 200);
+  config.days = option_number<int>(args, "--days", 2);
+  config.seed = option_number<std::uint64_t>(args, "--seed", 42);
   const sim::Scenario scenario(config);
   const auto result = sim::generate_trace(scenario);
   netflow::write_trace_file(out->second, result.records, config.sampling);
@@ -198,8 +210,7 @@ int cmd_detect(const Args& args) {
                        return a.minute < b.minute;
                      });
     detect::StreamConfig stream;
-    stream.reorder_lag =
-        static_cast<util::Minute>(option_number(args, "--reorder-lag", 0));
+    stream.reorder_lag = option_number<util::Minute>(args, "--reorder-lag", 0);
     // Identical records in a stored trace are distinct sampled flows, not
     // collector re-emits — suppression stays off so the streaming and
     // offline paths see the same traffic.
@@ -232,9 +243,8 @@ int cmd_detect(const Args& args) {
       it != args.options.end()) {
     spill.directory = it->second;
   }
-  spill.ram_budget_bytes = static_cast<std::uint64_t>(option_number(
-      args, "--ram-budget",
-      static_cast<long long>(spill.ram_budget_bytes)));
+  spill.ram_budget_bytes =
+      option_number(args, "--ram-budget", spill.ram_budget_bytes);
   const auto trace = netflow::aggregate_windows(std::move(records), space,
                                                 nullptr, nullptr, &spill);
   const auto result = detect::DetectionPipeline{}.run(trace);
@@ -321,7 +331,7 @@ int cmd_top(const Args& args) {
   std::uint32_t sampling = 0;
   auto records = netflow::read_trace_file(args.positional[0], &sampling);
   const auto space = cloud_space_from(args);
-  const auto count = static_cast<std::size_t>(option_number(args, "--count", 10));
+  const auto count = option_number<std::size_t>(args, "--count", 10);
 
   std::map<std::uint32_t, std::uint64_t> vip_packets;
   for (const auto& r : records) {
@@ -360,8 +370,7 @@ int cmd_import(const Args& args) {
   std::ifstream in(args.positional[0]);
   if (!in) throw dm::FormatError("cannot open " + args.positional[0]);
   const auto records = netflow::read_csv(in);
-  const auto sampling =
-      static_cast<std::uint32_t>(option_number(args, "--sampling", 4096));
+  const auto sampling = option_number<std::uint32_t>(args, "--sampling", 4096);
   netflow::write_trace_file(args.positional[1], records, sampling);
   std::printf("imported %zu records to %s (1:%u)\n", records.size(),
               args.positional[1].c_str(), sampling);
@@ -381,16 +390,15 @@ int cmd_serve(const Args& args) {
   const auto space = cloud_space_from(args);
 
   const auto tenants =
-      static_cast<std::size_t>(std::max(1ll, option_number(args, "--tenants", 2)));
+      std::max<std::size_t>(1, option_number<std::size_t>(args, "--tenants", 2));
   serve::TenantSpec spec;
-  spec.shards = static_cast<std::uint32_t>(
-      std::max(1ll, option_number(args, "--shards", 2)));
+  spec.shards =
+      std::max<std::uint32_t>(1, option_number<std::uint32_t>(args, "--shards", 2));
   spec.max_records_per_minute =
-      static_cast<std::uint64_t>(option_number(args, "--rate-budget", 0));
-  spec.max_state_bytes =
-      static_cast<std::uint64_t>(option_number(args, "--memory-budget", 0));
+      option_number<std::uint64_t>(args, "--rate-budget", 0);
+  spec.max_state_bytes = option_number<std::uint64_t>(args, "--memory-budget", 0);
   spec.shed_factor =
-      static_cast<std::uint64_t>(std::max(2ll, option_number(args, "--shed-k", 8)));
+      std::max<std::uint64_t>(2, option_number<std::uint64_t>(args, "--shed-k", 8));
   std::vector<serve::TenantSpec> specs;
   for (std::size_t t = 0; t < tenants; ++t) {
     serve::TenantSpec s = spec;
@@ -399,13 +407,13 @@ int cmd_serve(const Args& args) {
   }
 
   serve::ServeConfig config;
-  config.seed = static_cast<std::uint64_t>(option_number(args, "--seed", 42));
+  config.seed = option_number<std::uint64_t>(args, "--seed", 42);
   config.rotation_interval =
-      static_cast<util::Minute>(option_number(args, "--rotate-minutes", 60));
-  config.keep_generations = static_cast<std::size_t>(
-      std::max(1ll, option_number(args, "--keep-gens", 2)));
+      option_number<util::Minute>(args, "--rotate-minutes", 60);
+  config.keep_generations = std::max<std::size_t>(
+      1, option_number<std::size_t>(args, "--keep-gens", 2));
   config.stream.reorder_lag =
-      static_cast<util::Minute>(option_number(args, "--reorder-lag", 0));
+      option_number<util::Minute>(args, "--reorder-lag", 0);
   const auto dir = args.options.find("--state-dir");
   if (dir != args.options.end()) config.state_dir = dir->second;
 
@@ -492,6 +500,9 @@ int main(int argc, char** argv) {
     if (command == "export") return cmd_export(args);
     if (command == "import") return cmd_import(args);
     if (command == "serve") return cmd_serve(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "dmnf: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dmnf: %s\n", e.what());
     return 1;
