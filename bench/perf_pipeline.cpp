@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks of the end-to-end pipeline stages:
-// trace generation, window aggregation, and detection — each parameterized
-// by thread count, so a run prints a threads-vs-throughput scaling table
-// per stage plus end-to-end (the BM_*/N rows; items/s is the throughput
-// column). Output is byte-identical across thread counts by construction,
-// so the rows measure the same work.
+// trace generation, window aggregation, detection and the study report.
+// The first three are parameterized by thread count, so a run prints a
+// threads-vs-throughput scaling table per stage plus end-to-end (the
+// BM_*/N rows; items/s is the throughput column). Output is byte-identical
+// across thread counts by construction, so the rows measure the same work.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/report.h"
 #include "core/study.h"
 #include "detect/pipeline.h"
 #include "exec/thread_pool.h"
@@ -260,6 +261,20 @@ void BM_FullDetection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDetection)->Unit(benchmark::kMillisecond);
+
+/// The study report (every §3-§6 exhibit) over a finished bench-scale
+/// study; items/s counts the study's sampled records. The report runs on
+/// the calling thread, so this row has no threads axis. Not gated.
+void BM_BuildReport(benchmark::State& state) {
+  static const core::Study study(perf_config());
+  for (auto _ : state) {
+    const core::StudyReport report = core::build_report(study);
+    benchmark::DoNotOptimize(report.spoofing.verdicts.data());
+    state.SetItemsProcessed(state.items_processed() +
+                            static_cast<std::int64_t>(study.record_count()));
+  }
+}
+BENCHMARK(BM_BuildReport)->Unit(benchmark::kMillisecond);
 
 /// The serve fleet under sustained overload: a two-tenant supervisor fed
 /// the bench trace in feed-minute order, with rate and memory budgets set

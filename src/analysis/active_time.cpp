@@ -1,45 +1,67 @@
 #include "analysis/active_time.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 
 namespace dm::analysis {
 
 using detect::MinuteDetection;
 using netflow::Direction;
+using netflow::VipMinuteStats;
+
+namespace {
+
+/// Distinct minutes across a VIP's inbound and outbound series, each sorted
+/// by minute with one window per minute, merged in place.
+std::uint64_t distinct_minutes(std::span<const VipMinuteStats> a,
+                               std::span<const VipMinuteStats> b) {
+  std::uint64_t n = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const util::Minute ma = a[i].minute;
+    const util::Minute mb = b[j].minute;
+    if (ma <= mb) ++i;
+    if (mb <= ma) ++j;
+    ++n;
+  }
+  return n + (a.size() - i) + (b.size() - j);
+}
+
+}  // namespace
 
 ActiveTimeResult compute_active_time(const netflow::WindowedTrace& trace,
                                      std::span<const MinuteDetection> detections,
                                      Direction direction) {
-  // Active minutes: windows (any direction counts as activity for the VIP;
-  // the paper's "active traffic" is not direction-scoped, but attacks are).
-  std::map<std::uint32_t, std::set<util::Minute>> active;
-  for (const auto& w : trace.windows()) {
-    active[w.vip.value()].insert(w.minute);
-  }
-
   // Distinct (vip, minute) pairs under attack in this direction — each
-  // minute counts once even under a multi-vector attack.
-  std::map<std::uint32_t, std::uint64_t> attack_minutes;
-  std::set<std::pair<std::uint32_t, util::Minute>> flagged;
+  // minute counts once even under a multi-vector attack. Packed as
+  // vip << 32 | minute (study minutes fit 32 bits) so one sort groups them
+  // by VIP, ascending.
+  std::vector<std::uint64_t> flagged;
   for (const MinuteDetection& d : detections) {
     if (d.direction != direction) continue;
-    flagged.emplace(d.vip.value(), d.minute);
+    flagged.push_back(std::uint64_t{d.vip.value()} << 32 |
+                      static_cast<std::uint32_t>(d.minute));
   }
-  for (const auto& [vip, minute] : flagged) attack_minutes[vip] += 1;
+  std::sort(flagged.begin(), flagged.end());
+  flagged.erase(std::unique(flagged.begin(), flagged.end()), flagged.end());
 
   ActiveTimeResult result;
   std::uint64_t majority = 0;
-  for (const auto& [vip, attacked] : attack_minutes) {
+  for (std::size_t f = 0; f < flagged.size();) {
+    const auto vip = static_cast<std::uint32_t>(flagged[f] >> 32);
+    const std::size_t first = f;
+    while (f < flagged.size() && flagged[f] >> 32 == vip) ++f;
+
     VipActiveTime v;
     v.vip = netflow::IPv4(vip);
-    v.attack_minutes = attacked;
-    const auto it = active.find(vip);
-    // An attacked minute is by definition active; guard against windows the
-    // detector saw but the activity map somehow lacks.
-    v.active_minutes =
-        it == active.end() ? attacked
-                           : std::max<std::uint64_t>(it->second.size(), attacked);
+    v.attack_minutes = f - first;
+    // Active minutes: windows in either direction (the paper's "active
+    // traffic" is not direction-scoped, but attacks are). An attacked minute
+    // is active by definition, even with no window in the trace.
+    v.active_minutes = std::max<std::uint64_t>(
+        distinct_minutes(trace.series(v.vip, Direction::kInbound),
+                         trace.series(v.vip, Direction::kOutbound)),
+        v.attack_minutes);
     result.fraction_cdf.add(v.attack_fraction());
     if (v.attack_fraction() > 0.5) ++majority;
     result.vips.push_back(v);

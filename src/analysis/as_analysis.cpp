@@ -1,8 +1,8 @@
 #include "analysis/as_analysis.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <numeric>
+#include <tuple>
 
 namespace dm::analysis {
 
@@ -12,72 +12,113 @@ using netflow::Direction;
 
 namespace {
 
-/// Incident indices whose sources tested as spoofed.
-std::set<std::uint32_t> spoofed_set(const SpoofResult* spoof) {
-  std::set<std::uint32_t> out;
+/// Bit i set when incident i's sources tested as spoofed.
+std::vector<bool> spoofed_bits(const SpoofResult* spoof, std::size_t incidents) {
+  std::vector<bool> out(incidents);
   if (spoof == nullptr) return out;
   for (const SpoofVerdict& v : spoof->verdicts) {
-    if (v.spoofed) out.insert(v.incident_index);
+    if (v.spoofed) out[v.incident_index] = true;
   }
   return out;
 }
 
+double ratio(std::uint64_t n, std::uint64_t d) {
+  return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
+}
+
+/// Attributes only the incidents of `direction` that `spoof` leaves in,
+/// then rolls them up.
+OriginResult origins_of(const netflow::WindowedTrace& trace,
+                        std::span<const AttackIncident> incidents,
+                        const cloud::AsRegistry& ases, Direction direction,
+                        const SpoofResult* spoof,
+                        const netflow::PrefixSet* blacklist) {
+  std::vector<bool> wanted = spoofed_bits(spoof, incidents.size());
+  for (std::size_t i = 0; i < incidents.size(); ++i) {
+    wanted[i] = incidents[i].direction == direction && !wanted[i];
+  }
+  return analyze_origins(
+      attribute_incidents(trace, incidents, &ases, blacklist, &wanted),
+      incidents, ases, direction, spoof);
+}
+
 }  // namespace
 
-AsAnalysisResult analyze_as(const netflow::WindowedTrace& trace,
-                            std::span<const AttackIncident> incidents,
-                            const cloud::AsRegistry& ases, Direction direction,
-                            const SpoofResult* spoof,
-                            const netflow::PrefixSet* blacklist) {
-  AsAnalysisResult out;
+OriginResult analyze_origins(const IncidentAttribution& attribution,
+                             std::span<const AttackIncident> incidents,
+                             const cloud::AsRegistry& ases, Direction direction,
+                             const SpoofResult* spoof) {
+  OriginResult origins;
+  AsAnalysisResult& out = origins.as;
+  GeoResult& geo = origins.geo;
   out.direction = direction;
-  const auto spoofed = spoofed_set(spoof);
+  geo.direction = direction;
+  const auto spoofed = spoofed_bits(spoof, incidents.size());
+  const auto all = ases.all();
 
+  constexpr std::size_t kRegions = std::size(cloud::kAllGeoRegions);
   std::array<std::uint64_t, kAsClassCount> class_incidents{};
-  std::array<std::uint64_t, kAsClassCount> class_sizes{};
   std::array<std::uint64_t, kAsClassCount> class_packets{};
   std::array<std::array<std::uint64_t, kAsClassCount>, sim::kAttackTypeCount>
       type_class{};
   std::array<std::uint64_t, sim::kAttackTypeCount> type_totals{};
-  std::map<std::uint32_t, std::uint64_t> per_as_incidents;
-  std::map<std::uint32_t, std::uint64_t> dominant_attribution;
+  std::array<std::uint64_t, kRegions> region_incidents{};
+  std::array<std::uint64_t, kRegions> region_packets{};
+  // Per AS, indexed like `all`: incidents involving it, and incidents whose
+  // packets it carries most of.
+  std::vector<std::uint64_t> per_as_incidents(all.size());
+  std::vector<std::uint64_t> dominant_attribution(all.size());
+  std::uint64_t no_dominant = 0;  // mapped remotes that carry no packets
   std::uint64_t total_packets = 0;
   std::uint64_t single_as = 0;
-
-  for (const AsInfo& as : ases.all()) {
-    class_sizes[static_cast<std::size_t>(as.cls)] += 1;
-  }
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> hits;  // (AS, packets)
 
   for (std::uint32_t i = 0; i < incidents.size(); ++i) {
     const AttackIncident& inc = incidents[i];
     if (inc.direction != direction) continue;
     out.incidents_total += 1;
     type_totals[sim::index_of(inc.type)] += 1;
-    if (spoofed.contains(i)) continue;  // §6.1: remove spoofed IPs first
+    if (spoofed[i]) continue;  // §6.1: remove spoofed IPs first
 
-    const auto remotes = incident_remotes(trace, inc, blacklist);
-    std::set<std::uint32_t> asns;
-    std::set<std::size_t> classes;
-    std::map<std::uint32_t, std::uint64_t> incident_as_packets;
+    const auto& remotes = attribution.remotes[i];
+    const auto& as_index = attribution.as_index[i];
+    hits.clear();
+    std::uint32_t classes = 0;  // bit per AS class
+    std::uint32_t regions = 0;  // bit per region
     std::uint64_t incident_packets = 0;
-    for (const RemoteContribution& r : remotes) {
-      const AsInfo* as = ases.lookup(r.remote);
-      if (as == nullptr) continue;  // outside the modeled Internet
-      asns.insert(as->asn);
-      classes.insert(static_cast<std::size_t>(as->cls));
-      class_packets[static_cast<std::size_t>(as->cls)] += r.packets;
-      total_packets += r.packets;
-      incident_as_packets[as->asn] += r.packets;
-      incident_packets += r.packets;
+    for (std::size_t k = 0; k < remotes.size(); ++k) {
+      if (as_index[k] == IncidentAttribution::kUnmapped) continue;
+      const AsInfo& as = all[as_index[k]];
+      const std::uint64_t packets = remotes[k].packets;
+      hits.emplace_back(as_index[k], packets);
+      classes |= 1u << static_cast<unsigned>(as.cls);
+      regions |= 1u << static_cast<unsigned>(as.region);
+      class_packets[static_cast<std::size_t>(as.cls)] += packets;
+      region_packets[static_cast<std::size_t>(as.region)] += packets;
+      incident_packets += packets;
     }
-    if (asns.empty()) continue;
+    if (hits.empty()) continue;
     out.incidents_mapped += 1;
+    total_packets += incident_packets;
+
+    // Per-AS packet sums in ascending ASN order, so the lowest ASN wins a
+    // tie for the dominant AS.
+    std::sort(hits.begin(), hits.end(), [&all](const auto& a, const auto& b) {
+      return std::tie(all[a.first].asn, a.second) <
+             std::tie(all[b.first].asn, b.second);
+    });
     std::uint64_t dominant = 0;
-    std::uint32_t dominant_asn = 0;
-    for (const auto& [asn, pkts] : incident_as_packets) {
-      if (pkts > dominant) {
-        dominant = pkts;
-        dominant_asn = asn;
+    std::uint32_t dominant_as = 0;
+    for (std::size_t k = 0; k < hits.size();) {
+      const std::uint32_t as = hits[k].first;
+      std::uint64_t packets = 0;
+      for (; k < hits.size() && hits[k].first == as; ++k) {
+        packets += hits[k].second;
+      }
+      per_as_incidents[as] += 1;
+      if (packets > dominant) {
+        dominant = packets;
+        dominant_as = as;
       }
     }
     if (incident_packets > 0 &&
@@ -85,68 +126,82 @@ AsAnalysisResult analyze_as(const netflow::WindowedTrace& trace,
             0.9 * static_cast<double>(incident_packets)) {
       ++single_as;
     }
-    dominant_attribution[dominant_asn] += 1;
-    for (std::uint32_t asn : asns) per_as_incidents[asn] += 1;
-    for (std::size_t c : classes) {
+    if (dominant > 0) {
+      dominant_attribution[dominant_as] += 1;
+    } else {
+      ++no_dominant;
+    }
+    for (std::size_t c = 0; c < kAsClassCount; ++c) {
+      if (((classes >> c) & 1u) == 0) continue;
       class_incidents[c] += 1;
       type_class[sim::index_of(inc.type)][c] += 1;
     }
+    for (std::size_t r = 0; r < kRegions; ++r) {
+      region_incidents[r] += (regions >> r) & 1u;
+    }
   }
 
-  const double denom = out.incidents_total > 0
-                           ? static_cast<double>(out.incidents_total)
-                           : 1.0;
+  std::array<std::uint64_t, kAsClassCount> class_sizes{};
+  for (const AsInfo& as : all) {
+    class_sizes[static_cast<std::size_t>(as.cls)] += 1;
+  }
+  const std::uint64_t denom = std::max<std::uint64_t>(out.incidents_total, 1);
   for (std::size_t c = 0; c < kAsClassCount; ++c) {
-    out.class_share[c] = static_cast<double>(class_incidents[c]) / denom;
+    out.class_share[c] = ratio(class_incidents[c], denom);
     if (class_sizes[c] > 0) {
       out.per_as_share[c] =
           out.class_share[c] / static_cast<double>(class_sizes[c]);
     }
-    if (total_packets > 0) {
-      out.packet_share[c] = static_cast<double>(class_packets[c]) /
-                            static_cast<double>(total_packets);
-    }
+    out.packet_share[c] = ratio(class_packets[c], total_packets);
   }
   for (std::size_t t = 0; t < sim::kAttackTypeCount; ++t) {
-    if (type_totals[t] == 0) continue;
     for (std::size_t c = 0; c < kAsClassCount; ++c) {
-      out.type_class_share[t][c] = static_cast<double>(type_class[t][c]) /
-                                   static_cast<double>(type_totals[t]);
+      out.type_class_share[t][c] = ratio(type_class[t][c], type_totals[t]);
     }
   }
+  geo.incidents_mapped = out.incidents_mapped;
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    geo.region_share[r] = ratio(region_incidents[r], denom);
+    geo.packet_share[r] = ratio(region_packets[r], total_packets);
+  }
+  if (out.incidents_mapped == 0) return origins;
 
-  if (out.incidents_mapped > 0) {
-    out.single_as_fraction =
-        static_cast<double>(single_as) / static_cast<double>(out.incidents_mapped);
-    // Concentration metrics over the per-AS involvement counts.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> ranked;
-    ranked.reserve(per_as_incidents.size());
-    for (const auto& [asn, n] : per_as_incidents) ranked.push_back({n, asn});
-    std::sort(ranked.begin(), ranked.end(), std::greater<>());
-    if (!ranked.empty()) {
-      out.top_as_share = static_cast<double>(ranked.front().first) / denom;
-      out.top_asn = ranked.front().second;
-      // Top-N coverage uses the dominant-AS attribution (each incident is
-      // assigned to exactly one AS), so the shares partition the incidents
-      // like the paper's "top 10 ASes are targets of 8.9% of the attacks".
-      std::vector<std::uint64_t> dominant_ranked;
-      dominant_ranked.reserve(dominant_attribution.size());
-      for (const auto& [asn, n] : dominant_attribution) {
-        dominant_ranked.push_back(n);
-      }
-      std::sort(dominant_ranked.begin(), dominant_ranked.end(),
-                std::greater<>());
-      std::uint64_t top10 = 0;
-      std::uint64_t top100 = 0;
-      for (std::size_t i = 0; i < dominant_ranked.size(); ++i) {
-        if (i < 10) top10 += dominant_ranked[i];
-        if (i < 100) top100 += dominant_ranked[i];
-      }
-      out.top10_share = static_cast<double>(top10) / denom;
-      out.top100_share = static_cast<double>(top100) / denom;
+  out.single_as_fraction = ratio(single_as, out.incidents_mapped);
+  // Concentration: the most involved AS, the highest ASN winning a tie.
+  using Involvement = std::pair<std::uint64_t, std::uint32_t>;  // (n, ASN)
+  Involvement top{0, 0};
+  for (std::size_t a = 0; a < all.size(); ++a) {
+    if (per_as_incidents[a] > 0) {
+      top = std::max(top, Involvement{per_as_incidents[a], all[a].asn});
     }
   }
-  return out;
+  out.top_as_share = ratio(top.first, denom);
+  out.top_asn = top.second;
+  // Top-N coverage uses the dominant-AS attribution (each incident is
+  // assigned to exactly one AS), so the shares partition the incidents
+  // like the paper's "top 10 ASes are targets of 8.9% of the attacks".
+  std::vector<std::uint64_t> ranked;
+  for (std::uint64_t n : dominant_attribution) {
+    if (n > 0) ranked.push_back(n);
+  }
+  if (no_dominant > 0) ranked.push_back(no_dominant);
+  std::sort(ranked.begin(), ranked.end(), std::greater<>());
+  const auto top_n = [&](std::size_t n) {
+    const auto end =
+        ranked.begin() + static_cast<std::ptrdiff_t>(std::min(n, ranked.size()));
+    return ratio(std::accumulate(ranked.begin(), end, std::uint64_t{0}), denom);
+  };
+  out.top10_share = top_n(10);
+  out.top100_share = top_n(100);
+  return origins;
+}
+
+AsAnalysisResult analyze_as(const netflow::WindowedTrace& trace,
+                            std::span<const AttackIncident> incidents,
+                            const cloud::AsRegistry& ases, Direction direction,
+                            const SpoofResult* spoof,
+                            const netflow::PrefixSet* blacklist) {
+  return origins_of(trace, incidents, ases, direction, spoof, blacklist).as;
 }
 
 GeoResult analyze_geo(const netflow::WindowedTrace& trace,
@@ -154,43 +209,7 @@ GeoResult analyze_geo(const netflow::WindowedTrace& trace,
                       const cloud::AsRegistry& ases, Direction direction,
                       const SpoofResult* spoof,
                       const netflow::PrefixSet* blacklist) {
-  GeoResult out;
-  out.direction = direction;
-  const auto spoofed = spoofed_set(spoof);
-
-  constexpr std::size_t kRegions = std::size(cloud::kAllGeoRegions);
-  std::array<std::uint64_t, kRegions> region_incidents{};
-  std::array<std::uint64_t, kRegions> region_packets{};
-  std::uint64_t total = 0;
-  std::uint64_t total_packets = 0;
-
-  for (std::uint32_t i = 0; i < incidents.size(); ++i) {
-    const AttackIncident& inc = incidents[i];
-    if (inc.direction != direction) continue;
-    total += 1;
-    if (spoofed.contains(i)) continue;
-    const auto remotes = incident_remotes(trace, inc, blacklist);
-    std::set<std::size_t> regions;
-    for (const RemoteContribution& r : remotes) {
-      const AsInfo* as = ases.lookup(r.remote);
-      if (as == nullptr) continue;
-      regions.insert(static_cast<std::size_t>(as->region));
-      region_packets[static_cast<std::size_t>(as->region)] += r.packets;
-      total_packets += r.packets;
-    }
-    if (!regions.empty()) out.incidents_mapped += 1;
-    for (std::size_t r : regions) region_incidents[r] += 1;
-  }
-
-  const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-  for (std::size_t r = 0; r < kRegions; ++r) {
-    out.region_share[r] = static_cast<double>(region_incidents[r]) / denom;
-    if (total_packets > 0) {
-      out.packet_share[r] = static_cast<double>(region_packets[r]) /
-                            static_cast<double>(total_packets);
-    }
-  }
-  return out;
+  return origins_of(trace, incidents, ases, direction, spoof, blacklist).geo;
 }
 
 }  // namespace dm::analysis

@@ -74,4 +74,20 @@ struct GeoResult {
     const SpoofResult* spoof = nullptr,
     const netflow::PrefixSet* blacklist = nullptr);
 
+/// AS and geo rollups of one direction (Fig 11-15), computed together.
+struct OriginResult {
+  AsAnalysisResult as;
+  GeoResult geo;
+};
+
+/// Rolls up the incidents of `direction` from their attributed remotes,
+/// skipping the incidents `spoof` marks as spoofed (null: skip none).
+/// `attribution` must cover every other incident of that direction and be
+/// tagged against `ases`.
+[[nodiscard]] OriginResult analyze_origins(
+    const IncidentAttribution& attribution,
+    std::span<const detect::AttackIncident> incidents,
+    const cloud::AsRegistry& ases, netflow::Direction direction,
+    const SpoofResult* spoof = nullptr);
+
 }  // namespace dm::analysis

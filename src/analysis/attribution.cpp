@@ -1,7 +1,8 @@
 #include "analysis/attribution.h"
 
 #include <algorithm>
-#include <tuple>
+
+#include "util/sum_table.h"
 
 namespace dm::analysis {
 
@@ -41,42 +42,74 @@ bool record_matches(AttackType type, const FlowRecord& r, Direction direction,
   return false;
 }
 
-std::vector<RemoteContribution> incident_remotes(
-    const netflow::WindowedTrace& trace, const detect::AttackIncident& incident,
-    const netflow::PrefixSet* blacklist) {
-  // Sorted-vector accumulator (same pattern as detect/correlator.cpp): one
-  // entry per matching record, sorted by remote, then merged in place.
-  std::vector<RemoteContribution> entries;
+std::span<const netflow::VipMinuteStats> incident_windows(
+    const netflow::WindowedTrace& trace, const detect::AttackIncident& incident) {
   const auto series = trace.series(incident.vip, incident.direction);
-  for (const auto& window : series) {
-    if (window.minute < incident.start) continue;
-    if (window.minute >= incident.end) break;
-    for (const FlowRecord& r : trace.records_of(window)) {
-      if (!record_matches(incident.type, r, incident.direction, blacklist)) {
-        continue;
-      }
-      const OrientedFlow flow{&r, incident.direction};
-      entries.push_back({flow.remote_ip(), r.packets});
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const RemoteContribution& a, const RemoteContribution& b) {
-              return std::tie(a.remote, a.packets) <
-                     std::tie(b.remote, b.packets);
-            });
+  const auto first = std::partition_point(
+      series.begin(), series.end(),
+      [&incident](const auto& w) { return w.minute < incident.start; });
+  const auto last = std::partition_point(
+      first, series.end(),
+      [&incident](const auto& w) { return w.minute < incident.end; });
+  return {first, last};
+}
+
+namespace {
+
+/// incident_remotes with a caller-owned table, reused across incidents.
+std::vector<RemoteContribution> remotes_of(const netflow::WindowedTrace& trace,
+                                           const detect::AttackIncident& incident,
+                                           const netflow::PrefixSet* blacklist,
+                                           util::SumTable& sums) {
+  trace.for_each_record(
+      incident_windows(trace, incident),
+      [&](const netflow::VipMinuteStats&, const FlowRecord& r) {
+        if (record_matches(incident.type, r, incident.direction, blacklist)) {
+          const OrientedFlow flow{&r, incident.direction};
+          sums.add(flow.remote_ip().value(), r.packets);
+        }
+      });
   std::vector<RemoteContribution> out;
-  for (const RemoteContribution& e : entries) {
-    if (!out.empty() && out.back().remote == e.remote) {
-      out.back().packets += e.packets;
-    } else {
-      out.push_back(e);
-    }
-  }
+  sums.drain([&out](std::uint32_t remote, std::uint64_t packets) {
+    out.push_back({netflow::IPv4(remote), packets});
+  });
   std::sort(out.begin(), out.end(),
             [](const RemoteContribution& a, const RemoteContribution& b) {
               if (a.packets != b.packets) return a.packets > b.packets;
               return a.remote < b.remote;
             });
+  return out;
+}
+
+}  // namespace
+
+std::vector<RemoteContribution> incident_remotes(
+    const netflow::WindowedTrace& trace, const detect::AttackIncident& incident,
+    const netflow::PrefixSet* blacklist) {
+  util::SumTable sums;
+  return remotes_of(trace, incident, blacklist, sums);
+}
+
+IncidentAttribution attribute_incidents(
+    const netflow::WindowedTrace& trace,
+    std::span<const detect::AttackIncident> incidents,
+    const cloud::AsRegistry* ases, const netflow::PrefixSet* blacklist,
+    const std::vector<bool>* wanted) {
+  IncidentAttribution out;
+  out.remotes.resize(incidents.size());
+  out.as_index.resize(incidents.size());
+  util::SumTable sums;
+  for (std::size_t i = 0; i < incidents.size(); ++i) {
+    if (wanted != nullptr && !(*wanted)[i]) continue;
+    out.remotes[i] = remotes_of(trace, incidents[i], blacklist, sums);
+    for (const RemoteContribution& r : out.remotes[i]) {
+      const cloud::AsInfo* as =
+          ases == nullptr ? nullptr : ases->lookup(r.remote);
+      out.as_index[i].push_back(
+          as == nullptr ? IncidentAttribution::kUnmapped
+                        : static_cast<std::uint32_t>(as - ases->all().data()));
+    }
+  }
   return out;
 }
 

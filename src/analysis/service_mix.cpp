@@ -1,7 +1,8 @@
 #include "analysis/service_mix.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "analysis/attribution.h"
 
@@ -23,62 +24,46 @@ std::size_t reported_index(ServiceType s) noexcept {
   return kReportedServiceCount;  // not reported
 }
 
+/// Sorts (key, mask) pairs by key and ORs the masks of equal keys together.
+template <typename Key>
+void or_merge(std::vector<std::pair<Key, std::uint32_t>>& entries) {
+  std::sort(entries.begin(), entries.end());
+  std::size_t n = 0;
+  for (const auto& [key, mask] : entries) {
+    if (n > 0 && entries[n - 1].first == key) {
+      entries[n - 1].second |= mask;
+    } else {
+      entries[n++] = {key, mask};
+    }
+  }
+  entries.resize(n);
+}
+
 }  // namespace
 
 ServiceAttackTable compute_service_attack_table(
     const netflow::WindowedTrace& trace,
     std::span<const MinuteDetection> detections,
     std::span<const AttackIncident> incidents) {
-  // Victim VIPs and the set of inbound attack types each received.
-  std::map<std::uint32_t, std::uint32_t> victim_types;  // vip -> type mask
+  // Victim VIPs and the set of inbound attack types each received, sorted
+  // by VIP.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> victim_types;
   for (const AttackIncident& inc : incidents) {
     if (inc.direction != Direction::kInbound) continue;
-    victim_types[inc.vip.value()] |= 1u << sim::index_of(inc.type);
+    victim_types.emplace_back(inc.vip.value(), 1u << sim::index_of(inc.type));
   }
+  or_merge(victim_types);
 
-  // Attack classes active per (vip, minute) — to filter attack traffic out.
-  std::map<std::pair<std::uint32_t, util::Minute>, std::uint32_t> attack_at;
+  // Attack classes active per (vip, minute) — to filter attack traffic out
+  // — sorted by (vip, minute).
+  using VipMinute = std::pair<std::uint32_t, util::Minute>;
+  std::vector<std::pair<VipMinute, std::uint32_t>> attack_at;
   for (const MinuteDetection& d : detections) {
     if (d.direction != Direction::kInbound) continue;
-    attack_at[{d.vip.value(), d.minute}] |= 1u << sim::index_of(d.type);
+    attack_at.push_back({{d.vip.value(), d.minute}, 1u << sim::index_of(d.type)});
   }
+  or_merge(attack_at);
 
-  // Legitimate inbound traffic per victim VIP, bucketed by service.
-  struct Tally {
-    std::array<std::uint64_t, kReportedServiceCount> per_service{};
-    std::uint64_t total = 0;
-  };
-  std::map<std::uint32_t, Tally> tallies;
-
-  for (const auto& w : trace.windows()) {
-    if (w.direction != Direction::kInbound) continue;
-    const auto victim = victim_types.find(w.vip.value());
-    if (victim == victim_types.end()) continue;
-    std::uint32_t active_mask = 0;
-    const auto at = attack_at.find({w.vip.value(), w.minute});
-    if (at != attack_at.end()) active_mask = at->second;
-
-    Tally& tally = tallies[w.vip.value()];
-    for (const FlowRecord& r : trace.records_of(w)) {
-      // Drop records that belong to an attack class active this minute.
-      bool is_attack = false;
-      for (std::size_t t = 0; t < sim::kAttackTypeCount && !is_attack; ++t) {
-        if ((active_mask >> t) & 1u) {
-          is_attack = record_matches(sim::kAllAttackTypes[t], r,
-                                     Direction::kInbound, nullptr);
-        }
-      }
-      if (is_attack) continue;
-      tally.total += r.packets;
-      bool known = false;
-      const ServiceType s = cloud::service_for_port(r.protocol, r.dst_port, &known);
-      if (!known) continue;
-      const std::size_t idx = reported_index(s);
-      if (idx < kReportedServiceCount) tally.per_service[idx] += r.packets;
-    }
-  }
-
-  // Apply the 10% rule and cross-tabulate.
   ServiceAttackTable table;
   table.victim_vips = victim_types.size();
   if (table.victim_vips == 0) return table;
@@ -87,13 +72,48 @@ ServiceAttackTable compute_service_attack_table(
              kReportedServiceCount>
       cells{};
 
+  // Each victim's inbound series comes in minute order, and the victims in
+  // VIP order, so the attack-minute cursor only moves forward.
+  std::size_t at = 0;
   for (const auto& [vip, mask] : victim_types) {
-    const auto it = tallies.find(vip);
-    if (it == tallies.end() || it->second.total == 0) continue;
-    const Tally& tally = it->second;
+    // Legitimate inbound traffic, bucketed by service.
+    std::array<std::uint64_t, kReportedServiceCount> per_service{};
+    std::uint64_t total = 0;
+    const netflow::VipMinuteStats* window = nullptr;
+    std::uint32_t active_mask = 0;
+    trace.for_each_record(
+        trace.series(netflow::IPv4(vip), Direction::kInbound),
+        [&](const netflow::VipMinuteStats& w, const FlowRecord& r) {
+          if (&w != window) {
+            window = &w;
+            const VipMinute key{vip, w.minute};
+            while (at < attack_at.size() && attack_at[at].first < key) ++at;
+            active_mask = at < attack_at.size() && attack_at[at].first == key
+                              ? attack_at[at].second
+                              : 0;
+          }
+          // Drop records that belong to an attack class active this minute.
+          for (std::size_t t = 0; t < sim::kAttackTypeCount; ++t) {
+            if (((active_mask >> t) & 1u) != 0 &&
+                record_matches(sim::kAllAttackTypes[t], r, Direction::kInbound,
+                               nullptr)) {
+              return;
+            }
+          }
+          total += r.packets;
+          bool known = false;
+          const ServiceType s =
+              cloud::service_for_port(r.protocol, r.dst_port, &known);
+          if (!known) return;
+          const std::size_t idx = reported_index(s);
+          if (idx < kReportedServiceCount) per_service[idx] += r.packets;
+        });
+
+    // Apply the 10% rule and cross-tabulate.
+    if (total == 0) continue;
     for (std::size_t s = 0; s < kReportedServiceCount; ++s) {
-      const double share = static_cast<double>(tally.per_service[s]) /
-                           static_cast<double>(tally.total);
+      const double share = static_cast<double>(per_service[s]) /
+                           static_cast<double>(total);
       if (share < kServiceTrafficShare) continue;
       hosting[s] += 1;
       for (std::size_t t = 0; t < sim::kAttackTypeCount; ++t) {
@@ -117,43 +137,42 @@ OutboundAppTargets compute_outbound_app_targets(
     std::span<const AttackIncident> incidents) {
   OutboundAppTargets out;
   // For each attacking VIP, which application ports its attack traffic hits.
-  std::map<std::uint32_t, std::uint32_t> vip_services;  // vip -> service mask
-  std::set<std::uint32_t> web_vips;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> vip_services;
 
   for (const AttackIncident& inc : incidents) {
     if (inc.direction != Direction::kOutbound) continue;
-    const auto series = trace.series(inc.vip, Direction::kOutbound);
-    for (const auto& w : series) {
-      if (w.minute < inc.start) continue;
-      if (w.minute >= inc.end) break;
-      for (const FlowRecord& r : trace.records_of(w)) {
-        if (!record_matches(inc.type, r, Direction::kOutbound, nullptr) &&
-            inc.type != sim::AttackType::kTds) {
-          continue;
-        }
-        bool known = false;
-        const ServiceType s =
-            cloud::service_for_port(r.protocol, r.dst_port, &known);
-        if (!known) continue;
-        const std::size_t idx = reported_index(s);
-        if (idx < kReportedServiceCount) {
-          vip_services[inc.vip.value()] |= 1u << idx;
-          if (s == ServiceType::kHttp || s == ServiceType::kHttps) {
-            web_vips.insert(inc.vip.value());
+    std::uint32_t mask = 0;
+    trace.for_each_record(
+        incident_windows(trace, inc),
+        [&](const netflow::VipMinuteStats&, const FlowRecord& r) {
+          if (!record_matches(inc.type, r, Direction::kOutbound, nullptr) &&
+              inc.type != sim::AttackType::kTds) {
+            return;
           }
-        }
-      }
-    }
+          bool known = false;
+          const ServiceType s =
+              cloud::service_for_port(r.protocol, r.dst_port, &known);
+          if (!known) return;
+          const std::size_t idx = reported_index(s);
+          if (idx < kReportedServiceCount) mask |= 1u << idx;
+        });
+    if (mask != 0) vip_services.emplace_back(inc.vip.value(), mask);
   }
+  or_merge(vip_services);
 
+  const std::uint32_t web =
+      1u << reported_index(ServiceType::kHttp) |
+      1u << reported_index(ServiceType::kHttps);
+  std::uint64_t web_vips = 0;
   out.attacking_vips = vip_services.size();
   for (const auto& [vip, mask] : vip_services) {
     for (std::size_t s = 0; s < kReportedServiceCount; ++s) {
       if ((mask >> s) & 1u) out.vips_per_service[s] += 1;
     }
+    if ((mask & web) != 0) ++web_vips;
   }
   if (out.attacking_vips > 0) {
-    out.web_share = static_cast<double>(web_vips.size()) /
+    out.web_share = static_cast<double>(web_vips) /
                     static_cast<double>(out.attacking_vips);
   }
   return out;

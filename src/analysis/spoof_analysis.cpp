@@ -15,9 +15,8 @@ util::AndersonDarlingResult test_sources(
   return util::anderson_darling_uniform(unit);
 }
 
-SpoofResult analyze_spoofing(const netflow::WindowedTrace& trace,
+SpoofResult analyze_spoofing(const IncidentAttribution& attribution,
                              std::span<const AttackIncident> incidents,
-                             const netflow::PrefixSet* blacklist,
                              std::size_t min_sources) {
   SpoofResult result;
   std::array<std::uint64_t, sim::kAttackTypeCount> spoofed_count{};
@@ -25,7 +24,7 @@ SpoofResult analyze_spoofing(const netflow::WindowedTrace& trace,
   for (std::uint32_t i = 0; i < incidents.size(); ++i) {
     const AttackIncident& inc = incidents[i];
     if (inc.direction != Direction::kInbound) continue;
-    const auto remotes = incident_remotes(trace, inc, blacklist);
+    const auto& remotes = attribution.remotes[i];
     if (remotes.size() < min_sources) continue;
 
     SpoofVerdict v;
@@ -48,6 +47,19 @@ SpoofResult analyze_spoofing(const netflow::WindowedTrace& trace,
     }
   }
   return result;
+}
+
+SpoofResult analyze_spoofing(const netflow::WindowedTrace& trace,
+                             std::span<const AttackIncident> incidents,
+                             const netflow::PrefixSet* blacklist,
+                             std::size_t min_sources) {
+  std::vector<bool> inbound(incidents.size());
+  for (std::size_t i = 0; i < incidents.size(); ++i) {
+    inbound[i] = incidents[i].direction == Direction::kInbound;
+  }
+  return analyze_spoofing(
+      attribute_incidents(trace, incidents, nullptr, blacklist, &inbound),
+      incidents, min_sources);
 }
 
 }  // namespace dm::analysis

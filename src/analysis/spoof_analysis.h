@@ -30,7 +30,14 @@ struct SpoofResult {
 
 /// Tests every inbound incident with at least `min_sources` distinct
 /// sources. The test statistic is computed over the distinct source
-/// addresses scaled into [0, 1).
+/// addresses scaled into [0, 1). `attribution` must cover the inbound
+/// incidents.
+[[nodiscard]] SpoofResult analyze_spoofing(
+    const IncidentAttribution& attribution,
+    std::span<const detect::AttackIncident> incidents,
+    std::size_t min_sources = 8);
+
+/// The same, attributing the inbound incidents first.
 [[nodiscard]] SpoofResult analyze_spoofing(
     const netflow::WindowedTrace& trace,
     std::span<const detect::AttackIncident> incidents,

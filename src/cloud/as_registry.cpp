@@ -1,6 +1,7 @@
 #include "cloud/as_registry.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/error.h"
 
@@ -157,7 +158,6 @@ AsRegistry::AsRegistry(const AsRegistryConfig& config, std::uint64_t seed)
 
   // Build the lookup index.
   for (std::uint32_t i = 0; i < ases_.size(); ++i) {
-    index_.add(ases_[i].prefix);
     net_to_as_.emplace_back(ases_[i].prefix.network().value(), i);
   }
   std::sort(net_to_as_.begin(), net_to_as_.end());
@@ -172,13 +172,14 @@ std::vector<const AsInfo*> AsRegistry::by_class(AsClass c) const {
 }
 
 const AsInfo* AsRegistry::lookup(IPv4 ip) const noexcept {
-  const auto match = index_.match(ip);
-  if (!match) return nullptr;
-  const std::uint32_t net = match->network().value();
-  const auto it = std::lower_bound(
-      net_to_as_.begin(), net_to_as_.end(), std::make_pair(net, std::uint32_t{0}));
-  if (it == net_to_as_.end() || it->first != net) return nullptr;
-  return &ases_[it->second];
+  // The blocks are disjoint, so the only candidate is the last one starting
+  // at or below ip.
+  const auto it = std::upper_bound(
+      net_to_as_.begin(), net_to_as_.end(), ip.value(),
+      [](std::uint32_t value, const auto& entry) { return value < entry.first; });
+  if (it == net_to_as_.begin()) return nullptr;
+  const AsInfo& as = ases_[std::prev(it)->second];
+  return as.prefix.contains(ip) ? &as : nullptr;
 }
 
 IPv4 AsRegistry::host_in(const AsInfo& as, util::Rng& rng) const noexcept {

@@ -142,10 +142,10 @@ class AsRegistry {
 
  private:
   std::vector<AsInfo> ases_;
-  netflow::PrefixSet index_;
   std::vector<std::vector<std::uint32_t>> class_members_;  // index by AsClass
-  // PrefixSet::match returns the prefix, not the AS; map network -> AS index.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> net_to_as_;  // sorted
+  // (network, AS index), sorted by network. AS blocks are carved from one
+  // ascending cursor, so they are disjoint.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> net_to_as_;
   std::size_t spain_idx_ = 0;
   std::size_t spam_idx_ = 0;
   std::size_t france_idx_ = 0;

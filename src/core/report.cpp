@@ -8,14 +8,15 @@ namespace dm::core {
 
 using netflow::Direction;
 
-StudyReport build_report(const Study& study) {
+StudyReport build_report(const netflow::WindowedTrace& trace,
+                         const detect::DetectionResult& detection,
+                         const sim::Scenario& scenario) {
   StudyReport report;
-  const auto& incidents = study.detection().incidents;
-  const auto& minutes = study.detection().minutes;
-  const auto& trace = study.trace();
-  const auto& ases = study.scenario().ases();
-  const auto* blacklist = &study.blacklist();
-  const std::uint32_t sampling = study.sampling();
+  const auto& incidents = detection.incidents;
+  const auto& minutes = detection.minutes;
+  const auto& ases = scenario.ases();
+  const auto* blacklist = &scenario.tds().as_prefix_set();
+  const std::uint32_t sampling = scenario.config().sampling;
 
   report.mix = analysis::compute_attack_mix(incidents);
   report.inbound_frequency =
@@ -47,20 +48,24 @@ StudyReport build_report(const Study& study) {
   report.outbound_timing =
       analysis::compute_timing(incidents, Direction::kOutbound);
 
-  report.spoofing = analysis::analyze_spoofing(trace, incidents, blacklist);
-  report.inbound_as = analysis::analyze_as(trace, incidents, ases,
-                                           Direction::kInbound,
-                                           &report.spoofing, blacklist);
-  report.outbound_as = analysis::analyze_as(trace, incidents, ases,
-                                            Direction::kOutbound, nullptr,
-                                            blacklist);
-  report.inbound_geo = analysis::analyze_geo(trace, incidents, ases,
-                                             Direction::kInbound,
-                                             &report.spoofing, blacklist);
-  report.outbound_geo = analysis::analyze_geo(trace, incidents, ases,
-                                              Direction::kOutbound, nullptr,
-                                              blacklist);
+  // One decode and AS lookup of every incident's remotes feeds the spoofing
+  // test and both directions' AS and geo rollups.
+  const analysis::IncidentAttribution attribution =
+      analysis::attribute_incidents(trace, incidents, &ases, blacklist);
+  report.spoofing = analysis::analyze_spoofing(attribution, incidents);
+  const auto inbound = analysis::analyze_origins(
+      attribution, incidents, ases, Direction::kInbound, &report.spoofing);
+  const auto outbound = analysis::analyze_origins(attribution, incidents, ases,
+                                                  Direction::kOutbound);
+  report.inbound_as = inbound.as;
+  report.outbound_as = outbound.as;
+  report.inbound_geo = inbound.geo;
+  report.outbound_geo = outbound.geo;
   return report;
+}
+
+StudyReport build_report(const Study& study) {
+  return build_report(study.trace(), study.detection(), study.scenario());
 }
 
 namespace {

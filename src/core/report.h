@@ -50,8 +50,18 @@ struct StudyReport {
   analysis::GeoResult outbound_geo;
 };
 
-/// Computes every exhibit. Walks the incident set several times; for a
-/// paper-scale study this completes in seconds.
+/// Computes every exhibit from a windowed trace and its detections.
+/// `scenario` supplies the AS registry, the TDS blacklist and the sampling
+/// rate. Active time and the service table are linear sweeps of the
+/// (vip, direction, minute)-sorted windows; the incidents' records are
+/// decoded once, into one IncidentAttribution that the spoofing test and
+/// the AS and geo rollups of both directions share. Runs on the calling
+/// thread.
+[[nodiscard]] StudyReport build_report(const netflow::WindowedTrace& trace,
+                                       const detect::DetectionResult& detection,
+                                       const sim::Scenario& scenario);
+
+/// The same over a Study's trace, detections and scenario.
 [[nodiscard]] StudyReport build_report(const Study& study);
 
 /// Renders the report as a plain-text document (one section per exhibit).

@@ -58,6 +58,7 @@ std::vector<TimeoutChoice> select_timeouts(
     const bool out_ok = out_gaps.size() >= config.min_samples;
     if (!in_ok && !out_ok) {
       choice.timeout = config.fallback;
+      choice.fallback = true;
       out.push_back(choice);
       continue;
     }
@@ -82,7 +83,10 @@ std::vector<TimeoutChoice> select_timeouts(
         break;
       }
     }
-    if (!selected) choice.timeout = config.fallback;
+    if (!selected) {
+      choice.timeout = config.fallback;
+      choice.fallback = true;
+    }
     out.push_back(choice);
   }
   return out;

@@ -24,7 +24,10 @@ namespace dm::detect {
 struct TimeoutChoice {
   sim::AttackType type = sim::AttackType::kSynFlood;
   util::Minute timeout = 0;
-  double avg_r_squared = 0.0;
+  double avg_r_squared = 0.0;  ///< 0 for a fallback
+  /// True when `timeout` is TimeoutSelectorConfig::fallback rather than a
+  /// fit: too few gaps in both directions, or no candidate cleared the bar.
+  bool fallback = false;
   std::size_t inbound_gaps = 0;
   std::size_t outbound_gaps = 0;
 };

@@ -98,6 +98,30 @@ class WindowedTrace {
   /// Records belonging to a window (same index space as windows()).
   [[nodiscard]] RecordRange records_of(const VipMinuteStats& window) const;
 
+  /// Calls f(window, record) for every record of `windows` (a slice of
+  /// windows(), such as a series), in order. Windows whose record ranges
+  /// adjoin — every run of a canonical trace — are decoded with one seek,
+  /// not one per window.
+  template <typename F>
+  void for_each_record(std::span<const VipMinuteStats> windows, F&& f) const {
+    for (std::size_t i = 0; i < windows.size();) {
+      std::size_t j = i + 1;
+      while (j < windows.size() &&
+             windows[j].first_record == windows[j - 1].last_record) {
+        ++j;
+      }
+      std::size_t w = i;
+      std::size_t index = windows[i].first_record;
+      for (const FlowRecord& r :
+           store_.range(windows[i].first_record, windows[j - 1].last_record)) {
+        while (index == windows[w].last_record) ++w;  // past empty windows
+        f(windows[w], r);
+        ++index;
+      }
+      i = j;
+    }
+  }
+
   /// Direction of record `record_index` relative to the cloud. Costs a
   /// store seek (plus a segment map when spilled); bulk consumers should
   /// iterate records() and read the iterator's direction() instead.

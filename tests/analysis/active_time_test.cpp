@@ -89,5 +89,47 @@ TEST(ActiveTime, DirectionScoped) {
   EXPECT_TRUE(outbound.vips.empty());
 }
 
+TEST(ActiveTime, MergesBothDirectionsAndKeepsVipOrder) {
+  // kVip is active inbound at minutes 0-9 and outbound at 5-14 (15 distinct
+  // minutes); a lower VIP is active but never attacked; a higher VIP is
+  // attacked with no window at all.
+  const IPv4 low = IPv4::from_octets(100, 64, 0, 1);
+  const IPv4 high = IPv4::from_octets(100, 64, 0, 9);
+  std::vector<FlowRecord> records;
+  const auto add = [&records](int minute, IPv4 src, IPv4 dst) {
+    FlowRecord r;
+    r.minute = minute;
+    r.src_ip = src;
+    r.dst_ip = dst;
+    r.src_port = 1000;
+    r.dst_port = 80;
+    r.protocol = netflow::Protocol::kTcp;
+    r.tcp_flags = netflow::TcpFlags::kAck;
+    r.packets = 1;
+    r.bytes = 100;
+    records.push_back(r);
+  };
+  const IPv4 remote = IPv4::from_octets(4, 0, 0, 1);
+  for (int m = 0; m < 10; ++m) add(m, remote, kVip);
+  for (int m = 5; m < 15; ++m) add(m, kVip, remote);
+  for (int m = 0; m < 30; ++m) add(m, remote, low);
+  const auto trace = netflow::aggregate_windows(std::move(records), cloud_space());
+
+  // Detections out of (vip, minute) order, with a repeated minute.
+  const std::vector<MinuteDetection> detections{
+      MinuteDetection{high, Direction::kInbound, sim::AttackType::kSynFlood, 7,
+                      100, 1},
+      det(12), det(3), det(12, sim::AttackType::kUdpFlood)};
+  const auto result = compute_active_time(trace, detections, Direction::kInbound);
+  ASSERT_EQ(result.vips.size(), 2u);
+  EXPECT_EQ(result.vips[0].vip, kVip);
+  EXPECT_EQ(result.vips[0].active_minutes, 15u);
+  EXPECT_EQ(result.vips[0].attack_minutes, 2u);
+  EXPECT_EQ(result.vips[1].vip, high);
+  EXPECT_EQ(result.vips[1].active_minutes, 1u);  // no window: attacked = active
+  EXPECT_EQ(result.vips[1].attack_minutes, 1u);
+  EXPECT_DOUBLE_EQ(result.majority_attacked_fraction, 0.5);
+}
+
 }  // namespace
 }  // namespace dm::analysis

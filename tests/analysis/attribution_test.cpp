@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace dm::analysis {
 namespace {
 
@@ -125,6 +127,78 @@ TEST(IncidentRemotes, EmptyWhenNoMatch) {
   inc.start = 10;
   inc.end = 11;
   EXPECT_TRUE(incident_remotes(trace, inc).empty());
+}
+
+detect::AttackIncident syn_incident(util::Minute start, util::Minute end) {
+  detect::AttackIncident inc;
+  inc.vip = kVip;
+  inc.direction = Direction::kInbound;
+  inc.type = AttackType::kSynFlood;
+  inc.start = start;
+  inc.end = end;
+  return inc;
+}
+
+TEST(Attribution, TagsEachIncidentsRemotesWithTheirAs) {
+  const cloud::AsRegistry ases(cloud::AsRegistryConfig{}, 11);
+  util::Rng rng(12);
+  const IPv4 mapped_a = ases.host_in(ases.all()[3], rng);
+  const IPv4 mapped_b = ases.host_in(ases.all()[40], rng);
+  // Above every AS block (the registry stays below 224.0.0.0).
+  const IPv4 unmapped = IPv4::from_octets(240, 0, 0, 9);
+  ASSERT_EQ(ases.lookup(unmapped), nullptr);
+  std::vector<FlowRecord> records{
+      flow(10, mapped_a, Protocol::kTcp, TcpFlags::kSyn, 80, 3),
+      flow(11, unmapped, Protocol::kTcp, TcpFlags::kSyn, 80, 9),
+      flow(11, mapped_a, Protocol::kTcp, TcpFlags::kSyn, 80, 4),
+      flow(20, mapped_b, Protocol::kTcp, TcpFlags::kSyn, 80, 5),
+  };
+  const auto trace = netflow::aggregate_windows(std::move(records), cloud_space());
+  const std::vector<detect::AttackIncident> incidents{
+      syn_incident(10, 12), syn_incident(15, 16), syn_incident(20, 21)};
+
+  const auto table = attribute_incidents(trace, incidents, &ases, nullptr);
+  ASSERT_EQ(table.remotes.size(), incidents.size());
+  ASSERT_EQ(table.as_index.size(), incidents.size());
+  for (std::size_t i = 0; i < incidents.size(); ++i) {
+    const auto expected = incident_remotes(trace, incidents[i]);
+    const auto& remotes = table.remotes[i];
+    const auto& as_of = table.as_index[i];
+    ASSERT_EQ(remotes.size(), expected.size()) << "incident " << i;
+    ASSERT_EQ(as_of.size(), remotes.size()) << "incident " << i;
+    for (std::size_t k = 0; k < remotes.size(); ++k) {
+      EXPECT_EQ(remotes[k].remote, expected[k].remote);
+      EXPECT_EQ(remotes[k].packets, expected[k].packets);
+      const cloud::AsInfo* as = ases.lookup(remotes[k].remote);
+      EXPECT_EQ(as_of[k], as == nullptr
+                              ? IncidentAttribution::kUnmapped
+                              : static_cast<std::uint32_t>(as - ases.all().data()));
+    }
+  }
+  // Incident 0: the unmapped remote leads on packets, then mapped_a's 3 + 4.
+  ASSERT_EQ(table.remotes[0].size(), 2u);
+  EXPECT_EQ(table.as_index[0][0], IncidentAttribution::kUnmapped);
+  EXPECT_EQ(table.as_index[0][1], 3u);
+  EXPECT_TRUE(table.remotes[1].empty());
+  ASSERT_EQ(table.as_index[2].size(), 1u);
+  EXPECT_EQ(table.as_index[2][0], 40u);
+}
+
+TEST(Attribution, SkipsUnwantedIncidentsAndNullRegistryMapsNothing) {
+  std::vector<FlowRecord> records{
+      flow(10, kRemoteA, Protocol::kTcp, TcpFlags::kSyn, 80, 3),
+      flow(20, kRemoteB, Protocol::kTcp, TcpFlags::kSyn, 80, 5),
+  };
+  const auto trace = netflow::aggregate_windows(std::move(records), cloud_space());
+  const std::vector<detect::AttackIncident> incidents{syn_incident(10, 11),
+                                                      syn_incident(20, 21)};
+  const std::vector<bool> wanted{false, true};
+  const auto table =
+      attribute_incidents(trace, incidents, nullptr, nullptr, &wanted);
+  EXPECT_TRUE(table.remotes[0].empty());
+  ASSERT_EQ(table.remotes[1].size(), 1u);
+  EXPECT_EQ(table.remotes[1][0].remote, kRemoteB);
+  EXPECT_EQ(table.as_index[1][0], IncidentAttribution::kUnmapped);
 }
 
 }  // namespace

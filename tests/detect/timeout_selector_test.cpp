@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/rng.h"
 
@@ -122,6 +123,41 @@ TEST(SelectTimeouts, RespectsCandidateOrder) {
                   c.timeout) != config.candidates.end();
     EXPECT_TRUE(is_candidate || c.timeout == config.fallback);
   }
+}
+
+TEST(TimeoutSelector, FallbackFlagSeparatesFallbacksFromFits) {
+  // Flood-like SYN gaps in both directions fit; every other type has no
+  // gaps at all and falls back for scarcity.
+  util::Rng rng(4);
+  const auto gap = [&](int) {
+    return static_cast<util::Minute>(rng.chance(0.9) ? 0 : rng.below(300));
+  };
+  auto dets = detections_with_gaps(AttackType::kSynFlood, Direction::kInbound,
+                                   400, gap);
+  auto out_dets = detections_with_gaps(AttackType::kSynFlood,
+                                       Direction::kOutbound, 400, gap);
+  dets.insert(dets.end(), out_dets.begin(), out_dets.end());
+  TimeoutSelectorConfig config;
+  const auto choices = select_timeouts(dets, config);
+  for (const auto& c : choices) {
+    SCOPED_TRACE(std::string(sim::to_string(c.type)));
+    if (c.type == AttackType::kSynFlood) {
+      EXPECT_FALSE(c.fallback);
+      EXPECT_GE(c.avg_r_squared, config.r_squared_bar);
+    } else {
+      EXPECT_TRUE(c.fallback);
+      EXPECT_EQ(c.timeout, config.fallback);
+      EXPECT_LT(c.inbound_gaps, config.min_samples);
+    }
+  }
+
+  // Plenty of gaps, but a bar no fit can clear: the other fallback path.
+  config.r_squared_bar = 1.01;
+  const auto strict = select_timeouts(dets, config);
+  const auto& syn = strict[sim::index_of(AttackType::kSynFlood)];
+  EXPECT_TRUE(syn.fallback);
+  EXPECT_EQ(syn.timeout, config.fallback);
+  EXPECT_GE(syn.inbound_gaps, config.min_samples);
 }
 
 TEST(ToTable, OverridesOnlyProvidedTypes) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/active_time.h"
+#include "analysis/as_analysis.h"
 #include "analysis/overview.h"
 #include "analysis/spoof_analysis.h"
 #include "analysis/timing.h"
@@ -75,6 +76,12 @@ TEST(PaperClaims, HoldOnTwoDayPaperScaleStudy) {
   EXPECT_LT(table2.inbound_coverage, 1.0) << "Table 2: inbound coverage";
   EXPECT_GT(table2.outbound_coverage, 0.0) << "Table 2: outbound coverage";
   EXPECT_LT(table2.outbound_coverage, 1.0) << "Table 2: outbound coverage";
+
+  const auto outbound_as = analysis::analyze_as(
+      study.trace(), incidents, study.scenario().ases(), Direction::kOutbound,
+      nullptr, &study.blacklist());
+  EXPECT_GT(outbound_as.single_as_fraction, 0.5)
+      << "Fig 15: most outbound attacks stay within one AS";
 
   const auto spoof = analysis::analyze_spoofing(study.trace(), incidents,
                                                 &study.blacklist());

@@ -5,8 +5,9 @@
 # serial-equivalence integration tests — then build under ASan+UBSan and
 # run the memory-sensitive codec tests (the columnar record store does raw
 # varint pointer walks; ASan catches overreads TSan never would), the
-# stream monitor's minute-buffer and checkpoint suites, and the radix
-# sort's histogram indexing.
+# stream monitor's minute-buffer and checkpoint suites, the radix sort's
+# histogram indexing, and the report's flat-container indexing (active
+# time, incident attribution, the report oracle).
 #
 # Stages (all builds use -Werror via DM_WERROR=ON):
 #   1. dmlint self-scan against the committed baseline (skip: DM_LINT=0)
@@ -30,7 +31,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
 FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort}"
-ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|TraceIo|Aggregate|WindowShardMerge|SegmentStore|StreamMonitor|StreamCheckpoint|RadixSort}"
+ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|TraceIo|Aggregate|WindowShardMerge|SegmentStore|StreamMonitor|StreamCheckpoint|RadixSort|ActiveTime|Attribution|StudyReport|ReportOracle}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
 # the committed baseline (which is kept empty). The scan itself (not the
