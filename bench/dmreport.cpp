@@ -5,8 +5,9 @@
 //
 // Each exhibit prints a "=== title ===" banner, its rows, and a "[paper]"
 // note with the published values. Most exhibits read one shared study of
-// ScenarioConfig::paper_scale(); it is built at most once per process, only
-// when a selected exhibit reads it, and freed after the last one that does.
+// ScenarioConfig::paper_scale() and its core::build_report; the two are
+// built at most once per process, only when a selected exhibit reads them,
+// and freed after the last one that does.
 // Seasonality and the ablation sweeps build their own studies. Scale comes
 // from the environment:
 //   DM_DAYS, DM_VIPS, DM_SEED — override ScenarioConfig::paper_scale().
@@ -38,6 +39,7 @@
 #include "analysis/timing.h"
 #include "analysis/validation.h"
 #include "analysis/vip_frequency.h"
+#include "core/report.h"
 #include "core/study.h"
 #include "detect/correlator.h"
 #include "detect/incident.h"
@@ -62,7 +64,7 @@ constexpr std::array<netflow::Direction, 2> kDirections{
 // the detected attack minutes with the paper's R² >= 85% regression rule and
 // compare with the published values. A type that clears no candidate, or has
 // too few gaps to fit, shows "fallback" in place of its R².
-bool table1(const core::Study& study) {
+bool table1(const core::Study& study, const core::StudyReport&) {
   const auto choices = detect::select_timeouts(study.detection().minutes);
 
   util::TextTable table;
@@ -82,7 +84,7 @@ bool table1(const core::Study& study) {
 
 // Figure 1: CDF of the inactive time between two consecutive attack minutes
 // of the same (VIP, type), for inbound and outbound attacks.
-bool fig1(const core::Study& study) {
+bool fig1(const core::Study& study, const core::StudyReport&) {
   for (netflow::Direction dir : kDirections) {
     std::printf("--- %s ---\n", std::string(netflow::to_string(dir)).c_str());
     util::TextTable table;
@@ -107,8 +109,8 @@ bool fig1(const core::Study& study) {
 }
 
 // Figure 2: percentage of total inbound and outbound attacks per type.
-bool fig2(const core::Study& study) {
-  const auto mix = analysis::compute_attack_mix(study.detection().incidents);
+bool fig2(const core::Study&, const core::StudyReport& report) {
+  const auto& mix = report.mix;
 
   util::TextTable table;
   table.set_header({"Attack", "Inbound %", "Outbound %"});
@@ -129,7 +131,7 @@ bool fig2(const core::Study& study) {
 
 // Table 2: detected attacks vs (simulated) DDoS-appliance alerts for inbound
 // and operator incident reports for outbound.
-bool table2(const core::Study& study) {
+bool table2(const core::Study& study, const core::StudyReport&) {
   analysis::ValidationConfig config;
   util::Rng rng(study.scenario().config().seed ^ 0x7a11da7eULL);
   const auto alerts =
@@ -163,10 +165,11 @@ bool table2(const core::Study& study) {
 
 // Figure 3: (a) CDF of attacks per (VIP, day); (b)/(c) attack mix for VIPs
 // with occasional (<=10/day) vs frequent (>10/day) attacks.
-bool fig3(const core::Study& study) {
+bool fig3(const core::Study&, const core::StudyReport& report) {
   for (netflow::Direction dir : kDirections) {
-    const auto freq =
-        analysis::compute_vip_frequency(study.detection().incidents, dir);
+    const auto& freq = dir == netflow::Direction::kInbound
+                           ? report.inbound_frequency
+                           : report.outbound_frequency;
     std::printf("--- %s ---\n", std::string(netflow::to_string(dir)).c_str());
     std::printf("(VIP, day) pairs: %zu; single-attack pairs: %s; "
                 ">10 attacks/day: %s; max attacks/day: %u\n",
@@ -195,10 +198,11 @@ bool fig3(const core::Study& study) {
 }
 
 // Figure 4: CDF of the fraction of a VIP's active time spent under attack.
-bool fig4(const core::Study& study) {
+bool fig4(const core::Study&, const core::StudyReport& report) {
   for (netflow::Direction dir : kDirections) {
-    const auto result = analysis::compute_active_time(
-        study.trace(), study.detection().minutes, dir);
+    const auto& result = dir == netflow::Direction::kInbound
+                             ? report.inbound_active_time
+                             : report.outbound_active_time;
     std::printf("--- %s ---  attacked VIPs: %zu\n",
                 std::string(netflow::to_string(dir)).c_str(),
                 result.vips.size());
@@ -217,7 +221,7 @@ bool fig4(const core::Study& study) {
 // week of inbound RDP brute-force, then erupts with outbound UDP floods.
 // Prints the daily time series for the case VIP plus the detected
 // inbound-to-outbound chains.
-bool fig5(const core::Study& study) {
+bool fig5(const core::Study& study, const core::StudyReport& report) {
   // Locate the scripted case-study VIP: the inbound brute-force episode with
   // the longest duration on a VIP that also originates outbound UDP floods.
   const sim::AttackEpisode* bf = nullptr;
@@ -256,8 +260,7 @@ bool fig5(const core::Study& study) {
   }
   std::fputs(table.render().c_str(), stdout);
 
-  const auto chains =
-      detect::find_compromise_chains(study.detection().incidents);
+  const auto& chains = report.chains;
   std::printf("\ndetected inbound->outbound compromise chains: %zu\n",
               chains.size());
   for (std::size_t i = 0; i < chains.size() && i < 5; ++i) {
@@ -277,8 +280,8 @@ bool fig5(const core::Study& study) {
 
 // Figure 6: the 99th percentile and peak number of VIPs simultaneously
 // involved in the same type of attack (start times within five minutes).
-bool fig6(const core::Study& study) {
-  const auto events = detect::find_multi_vip(study.detection().incidents);
+bool fig6(const core::Study&, const core::StudyReport& report) {
+  const auto& events = report.multi_vip;
 
   util::TextTable table;
   table.set_header({"Attack", "dir", "events", "p99 #VIPs", "peak #VIPs"});
@@ -301,7 +304,7 @@ bool fig6(const core::Study& study) {
   std::fputs(table.render().c_str(), stdout);
 
   // Multi-vector summary (§4.2) shares this correlation machinery.
-  const auto mv = detect::find_multi_vector(study.detection().incidents);
+  const auto& mv = report.multi_vector;
   std::size_t mv_in = 0, mv_out = 0, bf_syn_icmp = 0;
   for (const auto& e : mv) {
     (e.direction == netflow::Direction::kInbound ? mv_in : mv_out) += 1;
@@ -320,9 +323,8 @@ bool fig6(const core::Study& study) {
 // Table 3: percentage of victim VIPs hosting each service that experienced
 // each inbound attack type (services inferred from legitimate traffic by the
 // 10%-of-traffic destination-port rule).
-bool table3(const core::Study& study) {
-  const auto services = analysis::compute_service_attack_table(
-      study.trace(), study.detection().minutes, study.detection().incidents);
+bool table3(const core::Study&, const core::StudyReport& report) {
+  const auto& services = report.services;
 
   util::TextTable table;
   std::vector<std::string> header{"Service", "Total %"};
@@ -347,13 +349,11 @@ bool table3(const core::Study& study) {
 
 // Figure 7: median and peak aggregate attack throughput (whole cloud) per
 // attack type and overall, in estimated packets/second.
-bool fig7(const core::Study& study) {
+bool fig7(const core::Study&, const core::StudyReport& report) {
   util::TextTable table;
   table.set_header({"Attack", "in median", "in peak", "out median", "out peak"});
-  const auto in = analysis::compute_aggregate_throughput(
-      study.detection().minutes, netflow::Direction::kInbound, study.sampling());
-  const auto out = analysis::compute_aggregate_throughput(
-      study.detection().minutes, netflow::Direction::kOutbound, study.sampling());
+  const auto& in = report.inbound_throughput;
+  const auto& out = report.outbound_throughput;
   for (sim::AttackType t : sim::kAllAttackTypes) {
     const auto& i = in.by_type[sim::index_of(t)];
     const auto& o = out.by_type[sim::index_of(t)];
@@ -373,12 +373,13 @@ bool fig7(const core::Study& study) {
 
 // Figure 8: median and maximum per-VIP (per-incident) peak attack throughput
 // by type, plus the peak/median spread that motivates multiplexed defenses.
-bool fig8(const core::Study& study) {
+bool fig8(const core::Study&, const core::StudyReport& report) {
   util::TextTable table;
   table.set_header({"Attack", "dir", "median peak", "max peak", "max/median"});
   for (netflow::Direction dir : kDirections) {
-    const auto result = analysis::compute_per_vip_throughput(
-        study.detection().incidents, dir, study.sampling());
+    const auto& result = dir == netflow::Direction::kInbound
+                             ? report.inbound_vip_throughput
+                             : report.outbound_vip_throughput;
     for (sim::AttackType t : sim::kAllAttackTypes) {
       const auto& s = result.by_type[sim::index_of(t)];
       if (s.samples == 0) continue;
@@ -393,13 +394,11 @@ bool fig8(const core::Study& study) {
 }
 
 // Figure 9: median and 99th-percentile attack duration by type.
-bool fig9(const core::Study& study) {
+bool fig9(const core::Study&, const core::StudyReport& report) {
   util::TextTable table;
   table.set_header({"Attack", "in median", "in p99", "out median", "out p99"});
-  const auto in = analysis::compute_timing(study.detection().incidents,
-                                           netflow::Direction::kInbound);
-  const auto out = analysis::compute_timing(study.detection().incidents,
-                                            netflow::Direction::kOutbound);
+  const auto& in = report.inbound_timing;
+  const auto& out = report.outbound_timing;
   for (sim::AttackType t : sim::kAllAttackTypes) {
     const auto& i = in.duration[sim::index_of(t)];
     const auto& o = out.duration[sim::index_of(t)];
@@ -416,11 +415,9 @@ bool fig9(const core::Study& study) {
 // Figure 10: median inter-arrival time between consecutive attacks on the
 // same VIP, plus the §5.2 extras: ramp-up times and the UDP-flood
 // bimodality decomposition.
-bool fig10(const core::Study& study) {
-  const auto in = analysis::compute_timing(study.detection().incidents,
-                                           netflow::Direction::kInbound);
-  const auto out = analysis::compute_timing(study.detection().incidents,
-                                            netflow::Direction::kOutbound);
+bool fig10(const core::Study& study, const core::StudyReport& report) {
+  const auto& in = report.inbound_timing;
+  const auto& out = report.outbound_timing;
 
   util::TextTable table;
   table.set_header({"Attack", "in median (min)", "out median (min)",
@@ -456,25 +453,10 @@ bool fig10(const core::Study& study) {
   return true;
 }
 
-/// §6.1's spoofing verdicts, which the inbound AS and geo attributions take
-/// to discount spoofed sources.
-analysis::SpoofResult spoofing_of(const core::Study& study) {
-  return analysis::analyze_spoofing(study.trace(), study.detection().incidents,
-                                    &study.blacklist());
-}
-
-analysis::AsAnalysisResult inbound_as(const core::Study& study) {
-  const auto spoof = spoofing_of(study);
-  return analysis::analyze_as(study.trace(), study.detection().incidents,
-                              study.scenario().ases(),
-                              netflow::Direction::kInbound, &spoof,
-                              &study.blacklist());
-}
-
 // Figure 11: AS classes generating inbound attacks — (a) share of attacks
 // involving each class, (b) average share per individual AS of the class.
-bool fig11(const core::Study& study) {
-  const auto result = inbound_as(study);
+bool fig11(const core::Study&, const core::StudyReport& report) {
+  const auto& result = report.inbound_as;
 
   util::TextTable table;
   table.set_header({"AS class", "11a: % of attacks", "11b: avg % per AS",
@@ -495,8 +477,8 @@ bool fig11(const core::Study& study) {
 
 // Figure 12: share of each inbound attack type originating from big-cloud
 // and mobile ASes.
-bool fig12(const core::Study& study) {
-  const auto result = inbound_as(study);
+bool fig12(const core::Study&, const core::StudyReport& report) {
+  const auto& result = report.inbound_as;
 
   const auto big = static_cast<std::size_t>(cloud::AsClass::kBigCloud);
   const auto mobile = static_cast<std::size_t>(cloud::AsClass::kMobile);
@@ -514,8 +496,8 @@ bool fig12(const core::Study& study) {
 
 // Figure 13: origins of inbound DNS reflection and spam by AS class —
 // (a) share of attacks involving the class, (b) average share per AS.
-bool fig13(const core::Study& study) {
-  const auto result = inbound_as(study);
+bool fig13(const core::Study& study, const core::StudyReport& report) {
+  const auto& result = report.inbound_as;
 
   const std::size_t dns = sim::index_of(sim::AttackType::kDnsReflection);
   const std::size_t spam = sim::index_of(sim::AttackType::kSpam);
@@ -544,17 +526,12 @@ bool fig13(const core::Study& study) {
 
 // Figure 14: geolocation of inbound attack sources and outbound attack
 // targets (the paper's world maps, rendered as per-region shares).
-bool fig14(const core::Study& study) {
-  const auto spoof = spoofing_of(study);
+bool fig14(const core::Study&, const core::StudyReport& report) {
+  const auto& in = report.inbound_geo;
+  const auto& out = report.outbound_geo;
 
   util::TextTable table;
   table.set_header({"Region", "inbound sources %", "outbound targets %"});
-  const auto in = analysis::analyze_geo(
-      study.trace(), study.detection().incidents, study.scenario().ases(),
-      netflow::Direction::kInbound, &spoof, &study.blacklist());
-  const auto out = analysis::analyze_geo(
-      study.trace(), study.detection().incidents, study.scenario().ases(),
-      netflow::Direction::kOutbound, &spoof, &study.blacklist());
   for (std::size_t r = 0; r < std::size(cloud::kAllGeoRegions); ++r) {
     table.row(std::string(cloud::to_string(cloud::kAllGeoRegions[r])),
               util::format_percent(in.region_share[r]),
@@ -566,10 +543,8 @@ bool fig14(const core::Study& study) {
 
 // Figure 15: AS classes targeted by outbound attacks — share of attacks and
 // average share per AS — plus the §6.2 clustering statistics.
-bool fig15(const core::Study& study) {
-  const auto result = analysis::analyze_as(
-      study.trace(), study.detection().incidents, study.scenario().ases(),
-      netflow::Direction::kOutbound, nullptr, &study.blacklist());
+bool fig15(const core::Study&, const core::StudyReport& report) {
+  const auto& result = report.outbound_as;
 
   util::TextTable table;
   table.set_header({"AS class", "15a: % of attacks", "15b: avg % per AS",
@@ -591,9 +566,8 @@ bool fig15(const core::Study& study) {
 
 // Figure 16: Internet applications targeted by outbound attacks (#VIPs per
 // application port).
-bool fig16(const core::Study& study) {
-  const auto targets = analysis::compute_outbound_app_targets(
-      study.trace(), study.detection().incidents);
+bool fig16(const core::Study&, const core::StudyReport& report) {
+  const auto& targets = report.outbound_apps;
 
   util::TextTable table;
   table.set_header({"Application", "#attacking VIPs"});
@@ -610,8 +584,8 @@ bool fig16(const core::Study& study) {
 
 // §6.1: Anderson-Darling spoofed-source inference — fraction of inbound
 // attacks per type whose source addresses are uniform over the IPv4 space.
-bool spoofing(const core::Study& study) {
-  const auto spoof = spoofing_of(study);
+bool spoofing(const core::Study&, const core::StudyReport& report) {
+  const auto& spoof = report.spoofing;
 
   util::TextTable table;
   table.set_header({"Attack", "tested incidents", "% spoofed"});
@@ -628,11 +602,11 @@ bool spoofing(const core::Study& study) {
 // §7 made executable: replay the detected attacks against the cloud's
 // mitigation practices and report what each mechanism absorbs — plus the
 // §5.2 point that 5-minute reaction loops are too slow for 1-3 minute ramps.
-bool mitigation(const core::Study& study) {
-  const auto spoof = spoofing_of(study);
+bool mitigation(const core::Study& study, const core::StudyReport& report) {
+  const auto& spoof = report.spoofing;
 
   const mitigate::MitigationEngine engine{mitigate::MitigationPolicy{}};
-  const auto report =
+  const auto replay =
       engine.evaluate(study.trace(), study.detection().incidents,
                       study.sampling(), &study.blacklist(), &spoof);
 
@@ -640,14 +614,14 @@ bool mitigation(const core::Study& study) {
   table.set_header({"Attack", "incidents", "absorbed"});
   for (sim::AttackType t : sim::kAllAttackTypes) {
     const std::size_t i = sim::index_of(t);
-    if (report.incidents_by_type[i] == 0) continue;
-    table.row(std::string(sim::to_string(t)), report.incidents_by_type[i],
-              util::format_percent(report.absorption_by_type[i]));
+    if (replay.incidents_by_type[i] == 0) continue;
+    table.row(std::string(sim::to_string(t)), replay.incidents_by_type[i],
+              util::format_percent(replay.absorption_by_type[i]));
   }
   std::fputs(table.render().c_str(), stdout);
 
   std::map<mitigate::ActionKind, std::size_t> per_kind;
-  for (const auto& a : report.actions) per_kind[a.kind] += 1;
+  for (const auto& a : replay.actions) per_kind[a.kind] += 1;
   std::printf("\nactions taken:\n");
   for (const auto& [kind, n] : per_kind) {
     std::printf("  %-18s %zu\n", std::string(mitigate::to_string(kind)).c_str(),
@@ -655,9 +629,9 @@ bool mitigation(const core::Study& study) {
   }
   std::printf("\noverall absorption: %s; VIPs shut down: %llu; median time "
               "to mitigate: %.1f min\n",
-              util::format_percent(report.total_absorption).c_str(),
-              static_cast<unsigned long long>(report.shutdown_vips),
-              report.median_time_to_mitigate);
+              util::format_percent(replay.total_absorption).c_str(),
+              static_cast<unsigned long long>(replay.shutdown_vips),
+              replay.median_time_to_mitigate);
 
   // Reaction-latency sweep: the §5.2 argument that 5-minute detection loops
   // miss the ramp.
@@ -678,7 +652,7 @@ bool mitigation(const core::Study& study) {
 // §5.1's provisioning argument, quantified: per-VIP peak provisioning vs a
 // shared cloud-peak pool vs an elastic p99 pool, in SLB cores (300 Kpps per
 // core, [42]).
-bool ablation_provisioning(const core::Study& study) {
+bool ablation_provisioning(const core::Study& study, const core::StudyReport&) {
   util::TextTable table;
   table.set_header({"direction", "attacked VIPs", "per-VIP peak cores",
                     "cloud peak cores", "elastic p99 cores",
@@ -898,7 +872,7 @@ bool ablation_sampling(const sim::ScenarioConfig& /*scale*/) {
 
 // ---- Registry and main ----------------------------------------------------
 
-using StudyRun = bool (*)(const core::Study&);
+using StudyRun = bool (*)(const core::Study&, const core::StudyReport&);
 using ScaleRun = bool (*)(const sim::ScenarioConfig&);
 
 struct Exhibit {
@@ -907,8 +881,8 @@ struct Exhibit {
   const char* caption;
   const char* note;  ///< the paper's values, printed after the rows
   /// Prints the exhibit's rows; false when it cannot be drawn. A StudyRun
-  /// reads the shared study; a ScaleRun gets the DM_* scenario and builds
-  /// its own studies.
+  /// reads the shared study and its report; a ScaleRun gets the DM_*
+  /// scenario and builds its own studies.
   std::variant<StudyRun, ScaleRun> run;
 };
 
@@ -1135,15 +1109,22 @@ int main(int argc, char** argv) {
         return std::holds_alternative<StudyRun>(e->run);
       }));
   std::optional<core::Study> study;
+  std::optional<core::StudyReport> report;
   int status = 0;
   for (const Exhibit* e : selected) {
     std::printf("=== %s ===\n%s\n\n", e->title, e->caption);
     bool drawn = false;
     if (const StudyRun* run = std::get_if<StudyRun>(&e->run)) {
-      if (!study) study.emplace(*scale);
-      drawn = (*run)(*study);
+      if (!study) {
+        study.emplace(*scale);
+        report = core::build_report(*study);
+      }
+      drawn = (*run)(*study, *report);
       // Free the shared study before the exhibits that build their own.
-      if (--study_readers == 0) study.reset();
+      if (--study_readers == 0) {
+        report.reset();
+        study.reset();
+      }
     } else {
       drawn = std::get<ScaleRun>(e->run)(*scale);
     }

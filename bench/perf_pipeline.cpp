@@ -78,12 +78,13 @@ const netflow::WindowedTrace& perf_windows() {
   return windows;
 }
 
-// Kernel-level decode throughput, visible separately from end-to-end noise.
-// swar:0 is the scalar byte-loop decoder, swar:1 the 8-byte-word SWAR
-// kernel; both walk the same deterministic stream of mixed-width varints
-// (encoded lengths cycling 1..8 bytes, the columnar payload's range).
+// Kernel-level decode throughput, visible separately from end-to-end noise:
+// get_varint, the byte-loop decoder under the store Cursor and the trace
+// reader, over a deterministic stream of mixed-width varints (encoded
+// lengths cycling 1..8 bytes, the columnar payload's range). The swar:0 row
+// name predates the removal of a SWAR kernel; it stays so the bench gate
+// and the BENCH_pipeline.json snapshot keep matching.
 void BM_VarintDecode(benchmark::State& state) {
-  const bool swar = state.range(0) != 0;
   constexpr std::size_t kCount = 1 << 20;
   std::vector<std::uint8_t> buf;
   buf.reserve(kCount * 5);
@@ -93,23 +94,11 @@ void BM_VarintDecode(benchmark::State& state) {
     const unsigned bits = 1 + static_cast<unsigned>((i * 7) % 56);
     netflow::put_varint(buf, x & (~std::uint64_t{0} >> (64 - bits)));
   }
-  // Tail pad so the SWAR kernel's 8-byte word loads stay in bounds on the
-  // final varints (kSwarRecordSlack is the per-record budget real decoders
-  // use; a flat pad serves the same purpose here).
-  buf.insert(buf.end(), netflow::kSwarRecordSlack, 0);
 
   for (auto _ : state) {
     const std::uint8_t* p = buf.data();
     std::uint64_t acc = 0;
-    if (swar) {
-      for (std::size_t i = 0; i < kCount; ++i) {
-        acc += netflow::get_varint_swar(p);
-      }
-    } else {
-      for (std::size_t i = 0; i < kCount; ++i) {
-        acc += netflow::get_varint(p);
-      }
-    }
+    for (std::size_t i = 0; i < kCount; ++i) acc += netflow::get_varint(p);
     benchmark::DoNotOptimize(acc);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(kCount));
@@ -118,34 +107,23 @@ void BM_VarintDecode(benchmark::State& state) {
 BENCHMARK(BM_VarintDecode)
     ->ArgName("swar")
     ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Full-store decode: the scalar Cursor (block:0) vs the SoA BlockCursor
-// (block:1) over the same aggregated canonical store — the codec-level view
-// of the tentpole win, on real run-length/delta-encoded data.
+// Full-store decode: the record Cursor over the aggregated canonical store,
+// the codec-level view of decode cost on real run-length/delta-encoded
+// data. The block:0 row name likewise predates the removal of a block
+// decoder and is kept for the gate and the snapshot.
 void BM_BlockDecode(benchmark::State& state) {
-  const bool block_mode = state.range(0) != 0;
   const netflow::RecordStore& store = perf_windows().store();
   const std::size_t n = store.size();
 
   for (auto _ : state) {
     std::uint64_t acc = 0;
-    if (block_mode) {
-      netflow::RecordStore::BlockCursor cursor = store.block_cursor_at(0);
-      netflow::DecodedBlock block;
-      while (cursor.next(block)) {
-        for (std::size_t i = 0; i < block.count; ++i) {
-          acc += block.bytes[i] + block.remote[i] + block.packets[i];
-        }
-      }
-    } else {
-      netflow::RecordStore::Cursor cursor = store.cursor_at(0);
-      while (cursor.next()) {
-        const netflow::FlowRecord& r = cursor.record();
-        const netflow::OrientedFlow f{&r, cursor.direction()};
-        acc += r.bytes + f.remote_ip().value() + r.packets;
-      }
+    netflow::RecordStore::Cursor cursor = store.cursor_at(0);
+    while (cursor.next()) {
+      const netflow::FlowRecord& r = cursor.record();
+      const netflow::OrientedFlow f{&r, cursor.direction()};
+      acc += r.bytes + f.remote_ip().value() + r.packets;
     }
     benchmark::DoNotOptimize(acc);
     state.SetItemsProcessed(state.items_processed() +
@@ -155,7 +133,6 @@ void BM_BlockDecode(benchmark::State& state) {
 BENCHMARK(BM_BlockDecode)
     ->ArgName("block")
     ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GenerateTrace(benchmark::State& state) {

@@ -36,20 +36,18 @@ std::vector<SignatureRule> extract_signatures(
     std::map<std::uint16_t, std::uint64_t> incident_src_ports;
     std::map<std::uint16_t, std::uint64_t> incident_dst_ports;
 
-    for (const auto& w : trace.series(inc.vip, inc.direction)) {
-      if (w.minute < inc.start) continue;
-      if (w.minute >= inc.end) break;
-      for (const FlowRecord& r : trace.records_of(w)) {
-        if (!record_matches(inc.type, r, inc.direction, blacklist)) continue;
-        incident_sources[r.src_ip.value()] += r.packets;
-        total_packets += r.packets;
-        if (sim::is_flood(inc.type)) {
-          incident_src_ports[r.src_port] += r.packets;
-          incident_dst_ports[r.dst_port] += r.packets;
-          flood_packets += r.packets;
-        }
-      }
-    }
+    trace.for_each_record(
+        incident_windows(trace, inc),
+        [&](const netflow::VipMinuteStats&, const FlowRecord& r) {
+          if (!record_matches(inc.type, r, inc.direction, blacklist)) return;
+          incident_sources[r.src_ip.value()] += r.packets;
+          total_packets += r.packets;
+          if (sim::is_flood(inc.type)) {
+            incident_src_ports[r.src_port] += r.packets;
+            incident_dst_ports[r.dst_port] += r.packets;
+            flood_packets += r.packets;
+          }
+        });
     for (const auto& [src, pkts] : incident_sources) {
       auto& stats = sources[src];
       stats.packets += pkts;

@@ -1,10 +1,10 @@
 // dm::lint — determinism & invariant linter for the pipeline.
 //
 // Every exhibit in the study must be byte-identically reproducible across
-// thread counts, fused/unfused execution, and checkpoint/restore. PRs 1-4
-// established that by convention (canonical keyed sorts, Rng::split
-// seeding, shard-order merges); this tool turns the conventions into
-// machine-checked invariants over all of src/ and tools/:
+// thread counts, spill modes, and checkpoint/restore. The pipeline keeps
+// that by convention (canonical keyed sorts, Rng::split seeding,
+// shard-order merges); this tool turns the conventions into
+// machine-checked invariants over all of src/, tools/ and bench/:
 //
 //   nondeterministic-call   rand()/srand(), std::random_device, any
 //                           *_clock::now(), time()/clock()/localtime()/

@@ -42,18 +42,16 @@ double juno_share(const netflow::WindowedTrace& trace,
                   const AttackIncident& inc) {
   std::uint64_t total = 0;
   std::uint64_t fixed = 0;
-  for (const auto& w : trace.series(inc.vip, inc.direction)) {
-    if (w.minute < inc.start) continue;
-    if (w.minute >= inc.end) break;
-    for (const auto& r : trace.records_of(w)) {
-      if (r.protocol != netflow::Protocol::kTcp ||
-          !netflow::is_pure_syn(r.tcp_flags)) {
-        continue;
-      }
-      total += r.packets;
-      if (r.src_port == 1024 || r.src_port == 3072) fixed += r.packets;
-    }
-  }
+  trace.for_each_record(
+      analysis::incident_windows(trace, inc),
+      [&](const VipMinuteStats&, const netflow::FlowRecord& r) {
+        if (r.protocol != netflow::Protocol::kTcp ||
+            !netflow::is_pure_syn(r.tcp_flags)) {
+          return;
+        }
+        total += r.packets;
+        if (r.src_port == 1024 || r.src_port == 3072) fixed += r.packets;
+      });
   return total == 0 ? 0.0 : static_cast<double>(fixed) / static_cast<double>(total);
 }
 
@@ -173,9 +171,7 @@ MitigationReport MitigationEngine::evaluate(
     // --- Replay the incident's minutes against the active mechanisms.
     IncidentOutcome outcome;
     outcome.incident_index = i;
-    for (const auto& w : trace.series(inc.vip, inc.direction)) {
-      if (w.minute < inc.start) continue;
-      if (w.minute >= inc.end) break;
+    for (const auto& w : analysis::incident_windows(trace, inc)) {
       const std::uint64_t pkts = class_packets(w, inc.type);
       outcome.attack_packets += pkts;
       double pass = 1.0;

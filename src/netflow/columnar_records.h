@@ -32,7 +32,6 @@
 // outputs, all locked down by tests).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -70,45 +69,11 @@ struct ColumnarView {
   std::size_t runs = 0;
   std::size_t checkpoint_count = 0;
   std::size_t records = 0;
-  // Encoded byte extents. The BlockCursor's SWAR kernels read 8-byte words,
-  // so they need to know where each buffer ends to budget kSwarRecordSlack
-  // and fall back to the scalar decoder near the tail. Zero extents are
-  // safe (every decode takes the scalar path) but defeat the fast path.
-  std::size_t header_bytes = 0;
-  std::size_t payload_bytes = 0;
-};
-
-/// One SoA batch of up to kCapacity decoded records — the unit the block
-/// decode pipeline hands to aggregation and detection. The run-constant
-/// columns (vip, direction, minute) are expanded per row so consumers index
-/// them uniformly; run_mask marks which rows begin a run so window builders
-/// can skip per-row boundary checks. Blocks are caller-owned scratch,
-/// reused across next() calls (~2.3 KiB, L1-resident); every field of rows
-/// [0, count) is overwritten by each fill, so reuse leaks nothing across
-/// calls.
-struct DecodedBlock {
-  static constexpr std::size_t kCapacity = 64;
-
-  std::uint32_t vip[kCapacity];
-  std::uint8_t direction[kCapacity];  ///< Direction as its underlying value
-  util::Minute minute[kCapacity];
-  std::uint32_t remote[kCapacity];
-  std::uint16_t src_port[kCapacity];
-  std::uint16_t dst_port[kCapacity];
-  std::uint8_t protocol[kCapacity];   ///< Protocol as its underlying value
-  std::uint8_t tcp_flags[kCapacity];  ///< TcpFlags as its underlying value
-  std::uint32_t packets[kCapacity];
-  std::uint64_t bytes[kCapacity];
-
-  std::size_t count = 0;       ///< rows decoded by the last next()
-  std::size_t base_index = 0;  ///< view-global record index of row 0
-  std::uint64_t run_mask = 0;  ///< bit i set iff row i is its run's first record
 };
 
 class ColumnarRecords {
  public:
   class Cursor;
-  class BlockCursor;
   class Range;
 
   ColumnarRecords() = default;
@@ -175,8 +140,7 @@ class ColumnarRecords {
     return ColumnarView{headers_.data(),      payload_.data(),
                         run_starts_.data(),   payload_offs_.data(),
                         checkpoints_.data(),  run_starts_.size(),
-                        checkpoints_.size(),  size_,
-                        headers_.size(),      payload_.size()};
+                        checkpoints_.size(),  size_};
   }
 
   /// View-based seek: cursor positioned before `record_index` of `view`
@@ -218,9 +182,6 @@ class ColumnarRecords {
       remote_ = 0;
     }
 
-    /// True once next() has exhausted the bound range.
-    [[nodiscard]] bool done() const noexcept { return next_index_ >= limit_; }
-
     /// Tightens the decode limit to at most `limit` (view-local index).
     void clip(std::size_t limit) noexcept {
       if (limit < limit_) limit_ = limit;
@@ -228,7 +189,6 @@ class ColumnarRecords {
 
    private:
     friend class ColumnarRecords;
-    friend class BlockCursor;
 
     ColumnarView view_;
     std::size_t next_index_ = 0;  ///< record decoded by the next next()
@@ -243,85 +203,6 @@ class ColumnarRecords {
     FlowRecord record_;
     Direction direction_ = Direction::kInbound;
   };
-
-  /// Batch streaming decoder: fills a caller-owned DecodedBlock with up to
-  /// DecodedBlock::kCapacity records per next() call. Decodes the same
-  /// state machine as Cursor — run headers on run boundaries, absolute
-  /// remote at run starts, zigzag deltas inside — but amortizes it per run
-  /// segment and decodes payload fields with the SWAR varint kernel while
-  /// at least kSwarRecordSlack encoded bytes remain (scalar tail
-  /// otherwise). Cursor is the differential oracle: for any view and limit
-  /// the concatenated blocks are byte-identical to the Cursor stream.
-  ///
-  /// Checkpoint interaction: BlockCursor has no seek of its own — it adopts
-  /// a positioned Cursor (whose seek does the checkpoint walk) and streams
-  /// forward from there, so checkpoints bound block-pipeline seek cost
-  /// exactly as they bound Cursor's (see cursor_at()). A block may start
-  /// mid-run after such a seek; the carried remote delta state makes that
-  /// exact.
-  class BlockCursor {
-   public:
-    BlockCursor() = default;
-
-    /// Adopts a positioned Cursor's decode state — the way consumers enter
-    /// a store mid-stream (e.g. via ColumnarRecords::seek / cursor_at).
-    /// The cursor must not have been advanced past its limit.
-    explicit BlockCursor(const Cursor& at) noexcept
-        : view_(at.view_),
-          next_index_(at.next_index_),
-          limit_(at.limit_),
-          run_(at.run_),
-          run_end_(at.run_end_),
-          header_pos_(at.header_pos_),
-          payload_pos_(at.payload_pos_),
-          key_(at.key_),
-          minute_(at.minute_),
-          remote_(at.remote_) {}
-
-    /// Rewinds onto `view` at its first record, decoding at most `limit`
-    /// records — same contract as Cursor::reset().
-    void reset(const ColumnarView& view, std::size_t limit) noexcept {
-      view_ = view;
-      next_index_ = 0;
-      limit_ = limit < view.records ? limit : view.records;
-      run_ = static_cast<std::size_t>(-1);
-      run_end_ = 0;
-      header_pos_ = 0;
-      payload_pos_ = 0;
-      key_ = 0;
-      minute_ = 0;
-      remote_ = 0;
-    }
-
-    /// Fills `out` with the next block; false (with out.count == 0) once
-    /// the bound range is exhausted.
-    bool next(DecodedBlock& out) noexcept;
-
-    [[nodiscard]] bool done() const noexcept { return next_index_ >= limit_; }
-
-    /// Tightens the decode limit to at most `limit` (view-local index).
-    void clip(std::size_t limit) noexcept {
-      if (limit < limit_) limit_ = limit;
-    }
-
-   private:
-    ColumnarView view_;
-    std::size_t next_index_ = 0;
-    std::size_t limit_ = 0;
-    std::size_t run_ = 0;
-    std::size_t run_end_ = 0;
-    std::size_t header_pos_ = 0;
-    std::size_t payload_pos_ = 0;
-    std::uint64_t key_ = 0;
-    std::uint64_t minute_ = 0;
-    std::uint32_t remote_ = 0;
-  };
-
-  /// BlockCursor positioned before `record_index` — cursor_at()'s batch
-  /// counterpart, same seek cost contract.
-  [[nodiscard]] BlockCursor block_cursor_at(std::size_t record_index) const noexcept {
-    return BlockCursor(cursor_at(record_index));
-  }
 
   /// Iterable decoded view; `for (const FlowRecord& r : range)` drops in
   /// where a std::span<const FlowRecord> used to be. The iterator is a
@@ -450,80 +331,6 @@ inline bool ColumnarRecords::Cursor::next() noexcept {
   record_.bytes = get_varint(p);
   payload_pos_ = static_cast<std::size_t>(p - view_.payload);
   ++next_index_;
-  return true;
-}
-
-inline bool ColumnarRecords::BlockCursor::next(DecodedBlock& out) noexcept {
-  out.count = 0;
-  out.base_index = next_index_;
-  out.run_mask = 0;
-  if (next_index_ >= limit_) return false;
-  const std::size_t want =
-      std::min(+DecodedBlock::kCapacity, limit_ - next_index_);
-  const std::uint8_t* const payload_end = view_.payload + view_.payload_bytes;
-  const std::uint8_t* const header_end = view_.headers + view_.header_bytes;
-  std::size_t row = 0;
-  while (row < want) {
-    if (next_index_ >= run_end_) {
-      ++run_;
-      const std::uint8_t* h = view_.headers + header_pos_;
-      // Two varints: slack is one worst-case varint plus the final word read.
-      if (header_end - h >=
-          static_cast<std::ptrdiff_t>(kMaxVarintBytes + 8)) {
-        key_ = undelta64(key_, get_varint_swar(h));
-        minute_ = undelta64(minute_, get_varint_swar(h));
-      } else {
-        key_ = undelta64(key_, get_varint(h));
-        minute_ = undelta64(minute_, get_varint(h));
-      }
-      header_pos_ = static_cast<std::size_t>(h - view_.headers);
-      run_end_ = run_ + 1 < view_.runs ? view_.run_starts[run_ + 1]
-                                       : view_.records;
-    }
-    std::size_t take = std::min(run_end_, limit_) - next_index_;
-    if (take > want - row) take = want - row;
-    const auto vip = static_cast<std::uint32_t>(key_ >> 1);
-    const auto dir = static_cast<std::uint8_t>(key_ & 1);
-    const auto minute = static_cast<util::Minute>(minute_);
-    for (std::size_t k = 0; k < take; ++k) {
-      out.vip[row + k] = vip;
-      out.direction[row + k] = dir;
-      out.minute[row + k] = minute;
-    }
-    const bool at_run_start =
-        next_index_ == view_.run_starts[run_];
-    if (at_run_start) out.run_mask |= std::uint64_t{1} << row;
-    const std::uint8_t* p = view_.payload + payload_pos_;
-    for (std::size_t k = 0; k < take; ++k) {
-      const std::size_t i = row + k;
-      const bool abs_remote = at_run_start && k == 0;
-      if (payload_end - p >= static_cast<std::ptrdiff_t>(kSwarRecordSlack)) {
-        const auto raw = static_cast<std::uint32_t>(get_varint_swar(p));
-        remote_ = abs_remote ? raw : undelta32(remote_, raw);
-        out.remote[i] = remote_;
-        out.src_port[i] = static_cast<std::uint16_t>(get_varint_swar(p));
-        out.dst_port[i] = static_cast<std::uint16_t>(get_varint_swar(p));
-        out.protocol[i] = static_cast<std::uint8_t>(get_varint_swar(p));
-        out.tcp_flags[i] = static_cast<std::uint8_t>(get_varint_swar(p));
-        out.packets[i] = static_cast<std::uint32_t>(get_varint_swar(p));
-        out.bytes[i] = get_varint_swar(p);
-      } else {
-        const auto raw = static_cast<std::uint32_t>(get_varint(p));
-        remote_ = abs_remote ? raw : undelta32(remote_, raw);
-        out.remote[i] = remote_;
-        out.src_port[i] = static_cast<std::uint16_t>(get_varint(p));
-        out.dst_port[i] = static_cast<std::uint16_t>(get_varint(p));
-        out.protocol[i] = static_cast<std::uint8_t>(get_varint(p));
-        out.tcp_flags[i] = static_cast<std::uint8_t>(get_varint(p));
-        out.packets[i] = static_cast<std::uint32_t>(get_varint(p));
-        out.bytes[i] = get_varint(p);
-      }
-    }
-    payload_pos_ = static_cast<std::size_t>(p - view_.payload);
-    next_index_ += take;
-    row += take;
-  }
-  out.count = row;
   return true;
 }
 

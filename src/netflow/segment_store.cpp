@@ -245,9 +245,7 @@ MappedSegment::MapAttempt MappedSegment::try_map(const std::string& path) {
       reinterpret_cast<const ColumnarCheckpoint*>(body + g.off_checkpoints),
       static_cast<std::size_t>(meta.runs),
       static_cast<std::size_t>(meta.checkpoints),
-      static_cast<std::size_t>(meta.records),
-      static_cast<std::size_t>(meta.header_bytes),
-      static_cast<std::size_t>(meta.payload_bytes)};
+      static_cast<std::size_t>(meta.records)};
   out.segment = std::move(seg);
   return out;
 }
@@ -368,60 +366,6 @@ bool RecordStore::Cursor::advance_segment() {
     mapped_.reset();
   }
   return false;
-}
-
-RecordStore::BlockCursor RecordStore::block_cursor_at(
-    std::size_t record_index) const {
-  BlockCursor c;
-  c.limit_ = size();
-  if (!spilled_) {
-    c.inner_ = resident_.block_cursor_at(record_index);
-    return c;
-  }
-  c.store_ = &segments_;
-  if (record_index >= c.limit_) {
-    c.next_segment_ = segments_.segment_count();
-    c.base_ = c.limit_;
-    return c;
-  }
-  const std::size_t s = segments_.segment_containing(record_index);
-  const SegmentStore::Segment& seg = segments_.segments()[s];
-  c.next_segment_ = s + 1;
-  c.base_ = static_cast<std::size_t>(seg.first_record);
-  c.mapped_ = segments_.map_segment(s);
-  c.inner_ = ColumnarRecords::BlockCursor(
-      ColumnarRecords::seek(c.mapped_->view(), record_index - c.base_));
-  return c;
-}
-
-bool RecordStore::BlockCursor::advance_segment(DecodedBlock& out) {
-  mapped_.reset();
-  if (store_ == nullptr) return false;
-  const std::vector<SegmentStore::Segment>& segs = store_->segments();
-  while (next_segment_ < segs.size() &&
-         segs[next_segment_].first_record < limit_) {
-    const SegmentStore::Segment& seg = segs[next_segment_];
-    base_ = static_cast<std::size_t>(seg.first_record);
-    mapped_ = store_->map_segment(next_segment_);
-    ++next_segment_;
-    inner_.reset(mapped_->view(), limit_ - base_);
-    if (inner_.next(out)) {
-      out.base_index += base_;
-      return true;
-    }
-    mapped_.reset();
-  }
-  return false;
-}
-
-RecordStore::BlockCursor RecordStore::blocks(std::size_t first,
-                                             std::size_t last) const {
-  if (last > size()) last = size();
-  if (first > last) first = last;
-  BlockCursor c = block_cursor_at(first);
-  c.limit_ = last;
-  if (last >= c.base_) c.inner_.clip(last - c.base_);
-  return c;
 }
 
 RecordStore::Range RecordStore::range(std::size_t first,

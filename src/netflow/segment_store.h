@@ -195,12 +195,11 @@ class SegmentStore {
 
 /// Unified record store: either a resident ColumnarRecords or a spilled
 /// SegmentStore, behind one Cursor/Range API shaped exactly like
-/// ColumnarRecords' — consumers (window aggregation, detectors, analysis
-/// exhibits, trace export) iterate the same way in both modes.
+/// ColumnarRecords' — consumers (the analysis passes over a WindowedTrace)
+/// iterate the same way in both modes.
 class RecordStore {
  public:
   class Cursor;
-  class BlockCursor;
   class Range;
 
   RecordStore() = default;
@@ -235,13 +234,6 @@ class RecordStore {
   [[nodiscard]] Range all() const;
   [[nodiscard]] Direction direction_of(std::size_t record_index) const;
 
-  /// Batch counterparts: BlockCursor positioned before `record_index`, or
-  /// clipped to decode exactly records [first, last). Same segment-mapping
-  /// discipline as Cursor (one segment mapped at a time); blocks never span
-  /// a segment boundary and base_index is rebased to the global space.
-  [[nodiscard]] BlockCursor block_cursor_at(std::size_t record_index) const;
-  [[nodiscard]] BlockCursor blocks(std::size_t first, std::size_t last) const;
-
   /// Streaming decoder across segment boundaries. Mirrors
   /// ColumnarRecords::Cursor; maps at most one segment at a time and
   /// releases it on advance (and on exhaustion).
@@ -271,36 +263,6 @@ class RecordStore {
     bool advance_segment();
 
     ColumnarRecords::Cursor inner_;
-    const SegmentStore* store_ = nullptr;  ///< null in resident mode
-    std::shared_ptr<const MappedSegment> mapped_;
-    std::size_t next_segment_ = 0;  ///< next segment index to map
-    std::size_t base_ = 0;   ///< global index of the inner view's record 0
-    std::size_t limit_ = 0;  ///< global one-past-last record to decode
-  };
-
-  /// Batch streaming decoder across segment boundaries — the spill-aware
-  /// mirror of ColumnarRecords::BlockCursor, mapping at most one segment at
-  /// a time exactly like Cursor. Filled blocks carry global base_index.
-  class BlockCursor {
-   public:
-    BlockCursor() = default;
-
-    /// Fills `out` with the next block (up to DecodedBlock::kCapacity rows,
-    /// never spanning a segment boundary); false once exhausted.
-    bool next(DecodedBlock& out) {
-      if (inner_.next(out)) {
-        out.base_index += base_;
-        return true;
-      }
-      return advance_segment(out);
-    }
-
-   private:
-    friend class RecordStore;
-
-    bool advance_segment(DecodedBlock& out);
-
-    ColumnarRecords::BlockCursor inner_;
     const SegmentStore* store_ = nullptr;  ///< null in resident mode
     std::shared_ptr<const MappedSegment> mapped_;
     std::size_t next_segment_ = 0;  ///< next segment index to map

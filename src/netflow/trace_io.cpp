@@ -15,7 +15,6 @@ namespace {
 
 constexpr std::size_t kBlockRecords = 4096;
 constexpr std::uint64_t kHeaderBytes = 10;  // magic u32 + version u16 + sampling u32
-constexpr std::uint64_t kMaxVarintBytes = 10;
 // A record packs 9 varint fields; the payload leads with one base-minute
 // varint. These bounds make implausible block headers cheap to reject when
 // resynchronizing over damage.
@@ -245,56 +244,6 @@ void TraceWriter::write_all(std::span<const FlowRecord> records) {
   for (const auto& r : records) write(r);
 }
 
-void TraceWriter::write_all(ColumnarRecords::Range records) {
-  for (const FlowRecord& r : records) write(r);
-}
-
-void TraceWriter::write_all(RecordStore::Range records) {
-  for (const FlowRecord& r : records) write(r);
-}
-
-namespace {
-
-/// Streams every block of `cursor` into `writer`, reassembling wire-order
-/// records from the SoA columns (the inverse of the codec's orientation
-/// split).
-template <typename BlockCursorT>
-void write_decoded_blocks(TraceWriter& writer, BlockCursorT cursor) {
-  DecodedBlock block;
-  FlowRecord r;
-  while (cursor.next(block)) {
-    for (std::size_t i = 0; i < block.count; ++i) {
-      r.minute = block.minute[i];
-      const IPv4 vip(block.vip[i]);
-      const IPv4 remote(block.remote[i]);
-      if (static_cast<Direction>(block.direction[i]) == Direction::kInbound) {
-        r.src_ip = remote;
-        r.dst_ip = vip;
-      } else {
-        r.src_ip = vip;
-        r.dst_ip = remote;
-      }
-      r.src_port = block.src_port[i];
-      r.dst_port = block.dst_port[i];
-      r.protocol = static_cast<Protocol>(block.protocol[i]);
-      r.tcp_flags = static_cast<TcpFlags>(block.tcp_flags[i]);
-      r.packets = block.packets[i];
-      r.bytes = block.bytes[i];
-      writer.write(r);
-    }
-  }
-}
-
-}  // namespace
-
-void TraceWriter::write_all(const ColumnarRecords& records) {
-  write_decoded_blocks(*this, records.block_cursor_at(0));
-}
-
-void TraceWriter::write_all(const RecordStore& store) {
-  write_decoded_blocks(*this, store.block_cursor_at(0));
-}
-
 void TraceWriter::flush_block() {
   if (pending_.empty()) return;
   std::vector<std::uint8_t> payload;
@@ -512,24 +461,6 @@ std::vector<FlowRecord> TraceReader::read_all() {
 }
 
 void write_trace_file(const std::string& path, std::span<const FlowRecord> records,
-                      std::uint32_t sampling_denominator) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw FormatError("trace: cannot open for writing: " + path);
-  TraceWriter writer(out, sampling_denominator);
-  writer.write_all(records);
-  writer.finish();
-}
-
-void write_trace_file(const std::string& path, ColumnarRecords::Range records,
-                      std::uint32_t sampling_denominator) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw FormatError("trace: cannot open for writing: " + path);
-  TraceWriter writer(out, sampling_denominator);
-  writer.write_all(records);
-  writer.finish();
-}
-
-void write_trace_file(const std::string& path, RecordStore::Range records,
                       std::uint32_t sampling_denominator) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw FormatError("trace: cannot open for writing: " + path);

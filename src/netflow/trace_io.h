@@ -19,9 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "netflow/columnar_records.h"
 #include "netflow/flow_record.h"
-#include "netflow/segment_store.h"
 
 namespace dm::netflow {
 
@@ -44,17 +42,6 @@ class TraceWriter {
 
   void write(const FlowRecord& record);
   void write_all(std::span<const FlowRecord> records);
-  /// Streams a decoded view of the columnar store — the WindowedTrace
-  /// export path; never materializes the records as an array.
-  void write_all(ColumnarRecords::Range records);
-  /// Same, over a possibly spilled RecordStore (one segment mapped at a
-  /// time, so exporting a multi-month trace stays at flat RSS).
-  void write_all(RecordStore::Range records);
-  /// Whole-store exports decode through the SoA block pipeline (a
-  /// BlockCursor per store) instead of one record at a time; the Range
-  /// overloads above remain for partial ranges.
-  void write_all(const ColumnarRecords& records);
-  void write_all(const RecordStore& store);
 
   /// Flushes pending records and writes the end marker. Idempotent.
   void finish();
@@ -146,10 +133,6 @@ class TraceReader {
 
 /// Convenience round-trips through files on disk.
 void write_trace_file(const std::string& path, std::span<const FlowRecord> records,
-                      std::uint32_t sampling_denominator);
-void write_trace_file(const std::string& path, ColumnarRecords::Range records,
-                      std::uint32_t sampling_denominator);
-void write_trace_file(const std::string& path, RecordStore::Range records,
                       std::uint32_t sampling_denominator);
 [[nodiscard]] std::vector<FlowRecord> read_trace_file(const std::string& path,
                                                       std::uint32_t* sampling = nullptr);

@@ -8,10 +8,8 @@
 // StreamMonitor checkpoints).
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -92,57 +90,6 @@ class CheckedCursor {
 
 /// Longest LEB128 encoding of a u64: ten 7-bit groups.
 inline constexpr std::size_t kMaxVarintBytes = 10;
-
-/// Slack a SWAR record decode needs past its start byte: seven fields at
-/// worst-case width plus the 8-byte word read of the last field. Callers
-/// switch to the scalar decoder for the final bytes of a buffer.
-inline constexpr std::size_t kSwarRecordSlack = 7 * kMaxVarintBytes + 8;
-
-/// Unaligned little-endian 64-bit load. The byte-assembly form is
-/// endian-independent and folds to a single load on little-endian targets.
-[[nodiscard]] inline std::uint64_t load_u64le(const std::uint8_t* p) noexcept {
-  std::uint64_t w;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&w, p, sizeof w);
-  } else {
-    w = std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
-        std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
-        std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
-        std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
-  }
-  return w;
-}
-
-/// SWAR decode of one varint from a trusted buffer, advancing `p`. Loads an
-/// 8-byte word, finds the terminator byte via the continuation-bit mask, and
-/// compacts the 7-bit groups with three shift-merge steps — no per-byte
-/// loop for the common 1..8-byte encodings. Encodings of 9 or 10 bytes
-/// (> 56 significant bits) fall back to the scalar get_varint, which is also
-/// this kernel's differential oracle in the tests.
-///
-/// Contract: at least 8 bytes past `p` are readable (callers budget
-/// kSwarRecordSlack per record and take the scalar path near buffer ends),
-/// and `p` points at a well-formed varint, same as get_varint.
-[[nodiscard]] inline std::uint64_t get_varint_swar(
-    const std::uint8_t*& p) noexcept {
-  std::uint64_t w = load_u64le(p);
-  if ((w & 0x80) == 0) {  // 1-byte fast path: ports, protocol, flags, counts
-    ++p;
-    return w & 0x7f;
-  }
-  const std::uint64_t stops = ~w & 0x8080808080808080ULL;
-  if (stops == 0) return get_varint(p);  // 9- or 10-byte encoding
-  const unsigned len =
-      (static_cast<unsigned>(std::countr_zero(stops)) >> 3) + 1;
-  w &= ~std::uint64_t{0} >> (64 - 8 * len);  // len <= 8, shift is in range
-  w &= 0x7f7f7f7f7f7f7f7fULL;
-  // Pairwise 7-bit group compaction: 8x7 -> 4x14 -> 2x28 -> 1x56 bits.
-  w = (w & 0x00ff00ff00ff00ffULL) | ((w & 0xff00ff00ff00ff00ULL) >> 1);
-  w = (w & 0x0000ffff0000ffffULL) | ((w & 0xffff0000ffff0000ULL) >> 2);
-  w = (w & 0x00000000ffffffffULL) | ((w & 0xffffffff00000000ULL) >> 4);
-  p += len;
-  return w;
-}
 
 /// ZigZag: maps small signed deltas to small unsigned varints.
 [[nodiscard]] inline std::uint64_t zigzag64(std::int64_t v) noexcept {

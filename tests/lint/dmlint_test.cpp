@@ -133,9 +133,9 @@ TEST(LintRules, SortTieClean) {
 }
 
 TEST(LintRules, SoaScratchCleanReuseIsNotAFinding) {
-  // The block decode pipeline refills one caller-owned SoA scratch block per
-  // next() call (DESIGN.md §5g). The reuse pattern itself is deterministic —
-  // every consumed row is overwritten first — and must lint clean.
+  // A batch decoder that refills one caller-owned SoA scratch block per
+  // next() call. The reuse pattern itself is deterministic — every
+  // consumed row is overwritten first — and must lint clean.
   const auto report = lint_fixture("soa_scratch_clean.cc");
   EXPECT_TRUE(report.findings.empty());
   EXPECT_TRUE(report.suppressed.empty());

@@ -1,4 +1,4 @@
-// Fixture: the block pipeline's SoA scratch-buffer reuse pattern — a
+// Fixture: a batch decoder's SoA scratch-buffer reuse pattern — a
 // caller-owned struct-of-arrays block refilled in place by every next()
 // call, with consumers indexing only rows [0, count). Stale rows from the
 // previous fill are present in memory but never read; none of the

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -77,6 +79,41 @@ void expect_decodes_to(const ColumnarRecords& store,
     ASSERT_EQ(it.direction(), expected[n].direction) << "direction " << n;
   }
   EXPECT_EQ(n, expected.size());
+}
+
+/// Decodes range(first, last) and checks it against expected[first, last).
+void expect_range_decodes_to(const ColumnarRecords& store,
+                             const std::vector<Oriented>& expected,
+                             std::size_t first, std::size_t last) {
+  SCOPED_TRACE("range [" + std::to_string(first) + ", " +
+               std::to_string(last) + ")");
+  const auto range = store.range(first, last);
+  ASSERT_EQ(range.size(), last - first);
+  std::size_t i = first;
+  for (auto it = range.begin(); it != range.end(); ++it, ++i) {
+    ASSERT_LT(i, last);
+    ASSERT_EQ(it.index(), i);
+    ASSERT_EQ(*it, expected[i].record) << "record " << i;
+    ASSERT_EQ(it.direction(), expected[i].direction);
+  }
+  ASSERT_EQ(i, last);
+}
+
+/// Random ranges plus per-record direction_of() lookups over `store`.
+void expect_seeks_match(const ColumnarRecords& store,
+                        const std::vector<Oriented>& expected, util::Rng& rng,
+                        int rounds) {
+  const std::size_t n = expected.size();
+  for (int round = 0; round < rounds; ++round) {
+    const std::size_t first = rng.below(n + 1);
+    expect_range_decodes_to(store, expected, first,
+                            first + rng.below(n + 1 - first));
+  }
+  for (int round = 0; round < rounds; ++round) {
+    const std::size_t i = rng.below(n);
+    EXPECT_EQ(store.direction_of(i), expected[i].direction)
+        << "direction " << i;
+  }
 }
 
 /// Canonical-ish batch: few (vip, direction, minute) groups, ascending
@@ -168,11 +205,35 @@ TEST(ColumnarRecords, AdversarialExtremesRoundTrip) {
   input.push_back(
       {make_record(7, 0, 0, 4, 4, Protocol::kTcp, TcpFlags::kAck, 4, 4),
        Direction::kInbound});
+  // The same run continues for 200 more maximal swings, with near-maximal
+  // packets and bytes, so 10-byte encodings sit deep inside one run.
+  for (int i = 0; i < 200; ++i) {
+    input.push_back({make_record(7, (i % 2) == 0 ? kIpMax : 0u, 0,
+                                 static_cast<std::uint16_t>(i), 3,
+                                 Protocol::kTcp, TcpFlags::kAck,
+                                 kU32Max - static_cast<std::uint32_t>(i),
+                                 kU64Max - static_cast<std::uint64_t>(i)),
+                     Direction::kInbound});
+  }
+  // One value per significant-bit count 0..64 in the bytes field: every
+  // varint length from 1 to 10 bytes, at both ends of each length.
+  for (unsigned bits = 0; bits <= 64; ++bits) {
+    const std::uint64_t top =
+        bits == 64 ? kU64Max : (std::uint64_t{1} << bits) - 1;
+    input.push_back({make_record(7, bits, 0, 5, 5, Protocol::kTcp,
+                                 TcpFlags::kAck, 5, top),
+                     Direction::kInbound});
+  }
 
   const ColumnarRecords store = encode(input);
   expect_decodes_to(store, input);
-  // The three same-key records must share one run.
+  // Every same-key record must share one run.
   EXPECT_EQ(store.run_count(), 4u);
+  // A seek to any record, including mid-run ones behind maximal deltas,
+  // skip-decodes to exactly that record.
+  for (std::size_t first = 0; first <= input.size(); ++first) {
+    expect_range_decodes_to(store, input, first, input.size());
+  }
 }
 
 TEST(ColumnarRecords, SingleRecordWindows) {
@@ -191,30 +252,15 @@ TEST(ColumnarRecords, SingleRecordWindows) {
 TEST(ColumnarRecords, SeeksMatchFullDecode) {
   util::Rng rng(404);
   const auto input = canonical_batch(rng, 60, 40);
-  const ColumnarRecords store = encode(input);
-  const std::size_t n = input.size();
+  expect_seeks_match(encode(input), input, rng, 200);
 
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t first = rng.below(n + 1);
-    const std::size_t last = first + rng.below(n + 1 - first);
-    SCOPED_TRACE("range [" + std::to_string(first) + ", " +
-                 std::to_string(last) + ")");
-    const auto range = store.range(first, last);
-    ASSERT_EQ(range.size(), last - first);
-    std::size_t i = first;
-    for (auto it = range.begin(); it != range.end(); ++it, ++i) {
-      ASSERT_LT(i, last);
-      ASSERT_EQ(it.index(), i);
-      ASSERT_EQ(*it, input[i].record) << "record " << i;
-      ASSERT_EQ(it.direction(), input[i].direction);
-    }
-    ASSERT_EQ(i, last);
+  // Unsorted input makes (nearly) every record its own run, so seeks walk
+  // dozens of checkpoints and land both on and inside runs.
+  std::vector<Oriented> unsorted;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    unsorted.push_back(random_oriented(rng));
   }
-
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t i = rng.below(n);
-    EXPECT_EQ(store.direction_of(i), input[i].direction) << "direction " << i;
-  }
+  expect_seeks_match(encode(unsorted), unsorted, rng, 200);
 }
 
 TEST(ColumnarRecords, AppendMatchesMonolithicEncoding) {
@@ -241,6 +287,8 @@ TEST(ColumnarRecords, AppendMatchesMonolithicEncoding) {
       merged.append(std::move(piece));
     }
     expect_decodes_to(merged, input);
+    // Append re-spaces checkpoints; seeks must still land exactly.
+    expect_seeks_match(merged, input, rng, 40);
 
     // The merged store must keep encoding correctly past the append.
     std::vector<Oriented> extended = input;

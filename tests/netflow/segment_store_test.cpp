@@ -98,6 +98,24 @@ void expect_decodes_to(const RecordStore& store,
   EXPECT_EQ(n, expected.size());
 }
 
+/// Decodes range(first, last) and checks it against expected[first, last).
+void expect_range_decodes_to(const RecordStore& store,
+                             const std::vector<Oriented>& expected,
+                             std::size_t first, std::size_t last) {
+  SCOPED_TRACE("range [" + std::to_string(first) + ", " +
+               std::to_string(last) + ")");
+  const auto range = store.range(first, last);
+  ASSERT_EQ(range.size(), last - first);
+  std::size_t i = first;
+  for (auto it = range.begin(); it != range.end(); ++it, ++i) {
+    ASSERT_LT(i, last);
+    ASSERT_EQ(it.index(), i);
+    ASSERT_EQ(*it, expected[i].record) << "record " << i;
+    ASSERT_EQ(it.direction(), expected[i].direction);
+  }
+  ASSERT_EQ(i, last);
+}
+
 fs::path scratch_dir(const std::string& suffix) {
   const fs::path dir =
       fs::temp_directory_path() /
@@ -291,19 +309,27 @@ TEST(SegmentStore, RangesStraddleSegmentBoundaries) {
 
   for (int round = 0; round < 120; ++round) {
     const std::size_t first = rng.below(n + 1);
-    const std::size_t last = first + rng.below(n + 1 - first);
-    SCOPED_TRACE("range [" + std::to_string(first) + ", " +
-                 std::to_string(last) + ")");
-    const auto range = store.range(first, last);
-    ASSERT_EQ(range.size(), last - first);
-    std::size_t i = first;
-    for (auto it = range.begin(); it != range.end(); ++it, ++i) {
-      ASSERT_LT(i, last);
-      ASSERT_EQ(it.index(), i);
-      ASSERT_EQ(*it, input[i].record) << "record " << i;
-      ASSERT_EQ(it.direction(), input[i].direction);
-    }
-    ASSERT_EQ(i, last);
+    expect_range_decodes_to(store, input, first,
+                            first + rng.below(n + 1 - first));
+  }
+  // Ranges pinned to each segment seam: one record either side, one
+  // record starting exactly on the next segment's first record, and the
+  // empty range there.
+  const auto& seams = store.segments().segments();
+  for (std::size_t s = 1; s < seams.size(); ++s) {
+    const auto seam = static_cast<std::size_t>(seams[s].first_record);
+    expect_range_decodes_to(store, input, seam - 1, std::min(n, seam + 1));
+    expect_range_decodes_to(store, input, seam, std::min(n, seam + 1));
+    expect_range_decodes_to(store, input, seam, seam);
+  }
+  // Empty ranges mid-store and at the end, and the single final record,
+  // in both spilled and resident mode.
+  const RecordStore resident(encode(input));
+  for (const RecordStore* which : {&store, &resident}) {
+    SCOPED_TRACE(which->spilled() ? "spilled" : "resident");
+    expect_range_decodes_to(*which, input, n / 2, n / 2);
+    expect_range_decodes_to(*which, input, n, n);
+    expect_range_decodes_to(*which, input, n - 1, n);
   }
 
   for (int round = 0; round < 120; ++round) {
